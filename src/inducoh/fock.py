@@ -5,16 +5,20 @@ states with a per-mode cutoff, using ladder-operator matrix elements
 (a |n> = sqrt(n) |n-1>).  None of the Bogoliubov/Gaussian machinery is
 reused, so agreement between the two is a genuine cross-check.
 
-Squeezers are applied as exp(xi a^dag b^dag - conj(xi) a b) through a
-truncated series, split into substeps of |xi| <= 0.1 to keep each
-series short; beam splitters and phase shifts conserve photon number
-and are applied the same way without any norm loss.  Truncation error
-shows up as population near the cutoff, which `leakage_report` exposes
-and `observables_from_state` refuses to ignore.
+Each two-mode element is exp(s K), K = a^dag b^dag - a b for a squeezer of
+gain s = r and K = a^dag b - b^dag a for a splitter of angle s = kappa,
+truncated to the (cutoff+1)^2 pair space.  K is real, antisymmetric and
+block diagonal in the conserved n_a - n_b (resp. n_a + n_b), so it is
+exponentiated exactly from cached per-block eigendecompositions; a pump
+phase theta enters as e^{i theta n_a} exp(r K) e^{-i theta n_a}.  The
+truncated evolution is exactly unitary, so truncation error shows up as
+population near the cutoff, which `leakage_report` exposes and
+`observables_from_state` refuses to ignore.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,9 +38,8 @@ from .model import (
 
 UNRELIABLE_TOP_POPULATION = 1e-8
 HARD_LEAKAGE_LIMIT = 1e-4
-_MAX_STEP = 0.1
-_SERIES_TOL = 1e-16
-_MAX_TERMS = 120
+_SQUEEZER = "squeezer"
+_SPLITTER = "splitter"
 
 
 class LeakageError(RuntimeError):
@@ -158,34 +161,49 @@ def _top_population(psi: np.ndarray) -> float:
     return max(_level_population(psi, axis, slice(-1, None)) for axis in range(psi.ndim))
 
 
-def _series_exp(psi: np.ndarray, generator) -> np.ndarray:
-    """exp(G) psi by plain Taylor series; G must keep the series norm-bounded."""
-    total = psi.copy()
-    term = psi
-    for order in range(1, _MAX_TERMS):
-        term = generator(term) / order
-        total += term
-        if float(np.vdot(term, term).real) < _SERIES_TOL**2:
-            return total
-    raise RuntimeError("operator series did not converge; generator step too large")
+@functools.lru_cache(maxsize=16)
+def _pair_eigensystem(cutoff: int, kind: str) -> tuple:
+    """(rows, w, V) per block, i K = V diag(w) V^dag, of K built from ladder
+    matrix elements on the pair index n_a (cutoff+1) + n_b; each conserved
+    value picks out an evenly strided set of rows."""
+    d = cutoff + 1
+    lower = np.diag(np.sqrt(np.arange(1.0, d)), k=1)
+    levels = np.arange(d)
+    if kind == _SQUEEZER:
+        generator = np.kron(lower.T, lower.T) - np.kron(lower, lower)
+        conserved, stride = np.subtract.outer(levels, levels).ravel(), d + 1
+    else:
+        generator = np.kron(lower.T, lower) - np.kron(lower, lower.T)
+        conserved, stride = np.add.outer(levels, levels).ravel(), d - 1
+    blocks = []
+    for value in range(conserved.min(), conserved.max() + 1):
+        index = np.flatnonzero(conserved == value)
+        rows = slice(index[0], index[-1] + 1, stride)
+        blocks.append((rows, *np.linalg.eigh(1j * generator[rows, rows])))
+    return tuple(blocks)
 
 
-def _evolve_pair(psi: np.ndarray, mode_a: int, mode_b: int, substeps: int, generator) -> np.ndarray:
-    """Evolve with a two-mode generator, axes brought to the front once.
+def _apply_pair(
+    psi: np.ndarray, a: int, b: int, kind: str, angle: float, phase: float = 0.0
+) -> np.ndarray:
+    """exp(angle K) on modes (a, b), conjugated by e^{i phase n_a}; angle 0 returns psi.
 
-    `generator(y, ww)` receives the state reshaped to (d, d, rest) and the
-    ladder weight table ww[m, n] = sqrt((m+1)(n+1)) of shape (d-1, d-1, 1).
+    Each block of exp(angle K) is real, as K is, so it acts on the real and
+    imaginary parts in one matmul.  Blocks keep the cache and matmuls small:
+    a dense (cutoff+1)^2 unitary added 2.5 MB to the peak memory at cutoff 12.
     """
-    d = psi.shape[mode_a]
-    moved = np.moveaxis(psi, (mode_a, mode_b), (0, 1))
-    moved_shape = moved.shape
-    work = np.ascontiguousarray(moved).reshape(d, d, -1)
-    root = np.sqrt(np.arange(1.0, d))
-    ww = (root[:, None] * root[None, :])[:, :, None]
-    for _ in range(substeps):
-        work = _series_exp(work, lambda y: generator(y, ww))
-    out = work.reshape(moved_shape)
-    return np.moveaxis(out, (0, 1), (mode_a, mode_b))
+    if not angle:
+        return psi
+    d = psi.shape[a]
+    moved = np.moveaxis(psi, (a, b), (0, 1))
+    rotor = np.exp(1j * phase * np.arange(d))[:, None]
+    work = (moved.reshape(d, -1) * rotor.conj()).reshape(d * d, -1)
+    parts = work.view(np.float64)
+    for rows, w, v in _pair_eigensystem(d - 1, kind):
+        parts[rows] = ((v * np.exp(-1j * angle * w)) @ v.conj().T).real @ parts[rows]
+    out = work.reshape(d, -1)
+    out *= rotor
+    return np.moveaxis(out.reshape(moved.shape), (0, 1), (a, b))
 
 
 def apply_phase(state: FockState, mode: int, phase: float) -> FockState:
@@ -210,17 +228,7 @@ def apply_two_mode_squeezer(
     _check_state_modes(state, signal, idler)
     if gain < 0.0 or not math.isfinite(gain):
         raise ValueError(f"gain must be finite and >= 0, got {gain}")
-    substeps = max(1, math.ceil(gain / _MAX_STEP))
-    xi = (gain / substeps) * complex(math.cos(pump_phase), math.sin(pump_phase))
-
-    def generator(y: np.ndarray, ww: np.ndarray) -> np.ndarray:
-        # xi a^dag b^dag - conj(xi) a b on the two front axes
-        out = np.zeros_like(y)
-        out[1:, 1:] = xi * ww * y[:-1, :-1]
-        out[:-1, :-1] -= xi.conjugate() * ww * y[1:, 1:]
-        return out
-
-    psi = _evolve_pair(state.amplitudes, signal, idler, substeps, generator)
+    psi = _apply_pair(state.amplitudes, signal, idler, _SQUEEZER, gain, pump_phase)
     new_state = FockState(
         state.cutoff, psi, max(state.peak_top_population, _top_population(psi))
     )
@@ -243,17 +251,7 @@ def apply_beam_splitter(state: FockState, mode_a: int, mode_b: int, transmittanc
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError(f"transmittance must lie in [0, 1], got {transmittance}")
     kappa = math.atan2(math.sqrt(1.0 - transmittance), math.sqrt(transmittance))
-    substeps = max(1, math.ceil(kappa / _MAX_STEP))
-    angle = kappa / substeps
-
-    def generator(y: np.ndarray, ww: np.ndarray) -> np.ndarray:
-        # angle (a^dag b - b^dag a) on the two front axes
-        out = np.zeros_like(y)
-        out[1:, :-1] = angle * ww * y[:-1, 1:]
-        out[:-1, 1:] -= angle * ww * y[1:, :-1]
-        return out
-
-    psi = _evolve_pair(state.amplitudes, mode_a, mode_b, substeps, generator)
+    psi = _apply_pair(state.amplitudes, mode_a, mode_b, _SPLITTER, kappa)
     return FockState(state.cutoff, psi, max(state.peak_top_population, _top_population(psi)))
 
 

@@ -124,11 +124,20 @@ def oracle_residual(params: model.SetupParams, cutoff: int) -> float | None:
         return None
     ms = model.engine_moments(params)
     n = ms.n_modes
+    psi = state.amplitudes
+    # <a_i^dag a_j> = <a_i psi|a_j psi> and <a_i a_j> = <a_i^dag psi|a_j psi>, from
+    # 2n ladder applications; inner products, not stacked matrix products,
+    # keep at most n + 2 state-sized arrays alive
+    lowered = [fock._lowered(psi, i) for i in range(n)]
     worst = 0.0
     for i in range(n):
+        raised = fock._raised(psi, i)
         for j in range(n):
-            worst = max(worst, abs(fock.cross_correlation(state, i, j) - ms.normal[i, j]))
-            worst = max(worst, abs(fock.pair_correlation(state, i, j) - ms.anomalous[i, j]))
+            worst = max(
+                worst,
+                abs(np.vdot(lowered[i], lowered[j]) - ms.normal[i, j]),
+                abs(np.vdot(raised, lowered[j]) - ms.anomalous[i, j]),
+            )
     return worst
 
 

@@ -63,6 +63,84 @@ def test_squeezed_vacuum_pair_correlation():
     assert fock.pair_correlation(state, 0, 1) == pytest.approx(expected, abs=1e-6)
 
 
+@pytest.mark.parametrize("gain", [0.03, 0.07, 0.1])
+@pytest.mark.parametrize("pump_phase", [0.0, 0.7, 2.5, -1.9])
+def test_squeezer_pump_phase_amplitudes(gain, pump_phase):
+    """exp(xi a^dag b^dag - conj(xi) a b)|0,0> = sum_n (e^{i theta} tanh r)^n / cosh r |n,n>;
+    tanh(r)^13 < 1e-12 keeps the truncation at cutoff 12 below the tolerance."""
+    state = fock.apply_two_mode_squeezer(fock.vacuum(2, 12), 0, 1, gain, pump_phase)
+    n = np.arange(13)
+    expected = np.diag((np.exp(1j * pump_phase) * math.tanh(gain)) ** n / math.cosh(gain))
+    np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
+
+
+def _low_occupation_state(rng, n_modes, cutoff, max_occupation=2):
+    """Random normalised state supported on occupations <= max_occupation."""
+    amps = np.zeros((cutoff + 1,) * n_modes, dtype=np.complex128)
+    low = (slice(0, max_occupation + 1),) * n_modes
+    amps[low] = rng.normal(size=amps[low].shape) + 1j * rng.normal(size=amps[low].shape)
+    return fock.FockState(cutoff, amps / np.linalg.norm(amps))
+
+
+def test_pair_elements_obey_group_law_and_stay_unitary():
+    """Gains and splitter angles add, the norm stays 1, and each element keeps
+    its conserved quantity; two cutoffs alternate so that cached generators
+    of one cutoff or kind cannot stand in for another."""
+    rng = np.random.default_rng(11)
+    for cutoff in (8, 11, 8, 11):
+        state = _low_occupation_state(rng, 3, cutoff)
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        one = fock.apply_two_mode_squeezer(state, 0, 2, 0.1, theta)
+        two = fock.apply_two_mode_squeezer(one, 0, 2, 0.15, theta)
+        summed = fock.apply_two_mode_squeezer(state, 0, 2, 0.25, theta)
+        np.testing.assert_allclose(two.amplitudes, summed.amplitudes, rtol=0, atol=1e-13)
+        gap = fock.number_mean(state, 0) - fock.number_mean(state, 2)
+        assert fock.number_mean(two, 0) - fock.number_mean(two, 2) == pytest.approx(gap, abs=1e-12)
+
+        k1, k2 = 0.3, 0.9
+        one = fock.apply_beam_splitter(two, 1, 2, math.cos(k1) ** 2)
+        split = fock.apply_beam_splitter(one, 1, 2, math.cos(k2) ** 2)
+        summed = fock.apply_beam_splitter(two, 1, 2, math.cos(k1 + k2) ** 2)
+        np.testing.assert_allclose(split.amplitudes, summed.amplitudes, rtol=0, atol=1e-13)
+        total = fock.number_mean(two, 1) + fock.number_mean(two, 2)
+        assert fock.number_mean(split, 1) + fock.number_mean(split, 2) == pytest.approx(
+            total, abs=1e-12
+        )
+        for final in (two, split, summed):
+            assert final.norm == pytest.approx(1.0, abs=1e-13)
+
+
+def _dense_pair_unitary(d, kind, angle, phase):
+    """e^{i phase n_a} exp(angle K) e^{-i phase n_a} on the pair index n_a d + n_b,
+    from the dense truncated generator K = A - A^T, A = a^dag b^dag or a^dag b."""
+    raising = np.zeros((d * d, d * d))
+    for m in range(d - 1):
+        for n in range(d):
+            if kind == fock._SQUEEZER and n + 1 < d:
+                raising[(m + 1) * d + n + 1, m * d + n] = math.sqrt((m + 1) * (n + 1))
+            if kind == fock._SPLITTER and n >= 1:
+                raising[(m + 1) * d + n - 1, m * d + n] = math.sqrt((m + 1) * n)
+    w, v = np.linalg.eigh(1j * (raising - raising.T))
+    rotor = np.repeat(np.exp(1j * phase * np.arange(d)), d)
+    return rotor[:, None] * ((v * np.exp(-1j * angle * w)) @ v.conj().T) * rotor.conj()
+
+
+@pytest.mark.parametrize(
+    "kind, angle, phase", [(fock._SQUEEZER, 0.37, 1.2), (fock._SPLITTER, 0.9, 0.0)]
+)
+def test_pair_unitary_matches_dense_exponential(kind, angle, phase):
+    """Every conserved-number block is evolved, on a state populating all of them."""
+    rng = np.random.default_rng(5)
+    d = 6
+    psi = rng.normal(size=(d,) * 3) + 1j * rng.normal(size=(d,) * 3)
+    moved = np.moveaxis(psi, (2, 0), (0, 1)).reshape(d * d, -1)
+    expected = np.moveaxis(
+        (_dense_pair_unitary(d, kind, angle, phase) @ moved).reshape((d,) * 3), (0, 1), (2, 0)
+    )
+    got = fock._apply_pair(psi, 2, 0, kind, angle, phase)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
 def test_pairwise_emission_conserves_number_difference():
     """The squeezer generator commutes with n_a - n_b, so signal and idler
     counts of a single crystal agree to machine precision."""
