@@ -197,11 +197,11 @@ def chain(*maps: GaussianMap) -> GaussianMap:
     return total
 
 
-def validate(transform: GaussianMap, tolerance: float = DEFAULT_TOLERANCE) -> ValidationReport:
+def validate(transform: GaussianMap) -> ValidationReport:
     """Measure how well `transform` preserves the commutation relations."""
     u, v = transform.u, transform.v
     eye = np.eye(transform.n_modes)
     commutator = np.abs(u @ u.conj().T - v @ v.conj().T - eye).max()
     uvt = u @ v.T
     symmetry = np.abs(uvt - uvt.T).max()
-    return ValidationReport(float(commutator), float(symmetry), tolerance)
+    return ValidationReport(float(commutator), float(symmetry))

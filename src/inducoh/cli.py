@@ -35,25 +35,6 @@ _SWEEP_COLUMNS = (
 
 _PARAM_DEFAULTS = {"va": 1.0, "vb": 1.0, "t": 1.0, "t2": 1.0, "phi": 0.0, "pulses": 1}
 
-_CONFIG_TYPES = {
-    "va": float,
-    "vb": float,
-    "t": float,
-    "t2": float,
-    "phi": float,
-    "pulses": int,
-    "grid": str,
-    "format": str,
-    "out": str,
-    "seed": int,
-    "cutoff": int,
-    "r_max": float,
-    "samples": int,
-    "gains": str,
-    "resolution": int,
-    "vary": str,
-}
-
 
 class _UsageError(Exception):
     pass
@@ -69,7 +50,19 @@ def _fmt(value: float) -> str:
     return _FLOAT_FMT.format(float(value))
 
 
-def _load_config(path: str) -> dict:
+def _config_types(parser: argparse.ArgumentParser) -> dict:
+    """Config keys and their converters: the optional flags of every
+    subcommand, except --help and --config, with their argparse types."""
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        action.dest: action.type or str
+        for command in subcommands.choices.values()
+        for action in command._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
+
+
+def _load_config(path: str, types: dict) -> dict:
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -84,19 +77,19 @@ def _load_config(path: str) -> dict:
             raise _UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, _, text = line.partition("=")
         key = key.strip().lower().replace("-", "_")
-        if key not in _CONFIG_TYPES:
+        if key not in types:
             raise _UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            values[key] = _CONFIG_TYPES[key](text.strip())
+            values[key] = types[key](text.strip())
         except ValueError as exc:
             raise _UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
-def _merge_config(args: argparse.Namespace) -> None:
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Fill arguments not given on the command line from the config file.
     Flags always win over config values."""
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
+    config = _load_config(args.config, _config_types(parser)) if getattr(args, "config", None) else {}
     for key, value in config.items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, value)
@@ -312,7 +305,6 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--va", type=float, help="brightness of crystal A, sinh^2(r_A)")
     parser.add_argument("--vb", type=float, help="brightness of crystal B, sinh^2(r_B)")
     parser.add_argument("--t", type=float, help="idler filter intensity transmittance")
-    parser.add_argument("--t2", type=float, help="signal-B arm attenuator transmittance")
     parser.add_argument("--phi", type=float, help="interference phase phi (2 phi enters cos)")
     parser.add_argument("--pulses", type=int, help="pulses averaged per measurement")
 
@@ -331,6 +323,7 @@ def _build_parser() -> _Parser:
         help="how a tau sweep is realized: vary T at phi=0, or vary phi at T=1",
     )
     _add_param_flags(sweep)
+    sweep.add_argument("--t2", type=float, help="signal-B arm attenuator transmittance")
     sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     sweep.add_argument("--out", help="output file (default: stdout)")
     sweep.add_argument("--config", help="key=value config file; flags override it")
@@ -364,7 +357,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("missing subcommand (sweep, figure, optimize, validate)")
-        _merge_config(args)
+        _merge_config(args, parser)
         handler = {
             "sweep": _cmd_sweep,
             "figure": _cmd_figure,

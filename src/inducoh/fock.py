@@ -14,6 +14,9 @@ phase theta enters as e^{i theta n_a} exp(r K) e^{-i theta n_a}.  The
 truncated evolution is exactly unitary, so truncation error shows up as
 population near the cutoff, which `leakage_report` exposes and
 `observables_from_state` refuses to ignore.
+
+The interferometer is `model.network`, the element list the Gaussian
+engine also evaluates; `simulate_network` applies it element by element.
 """
 
 from __future__ import annotations
@@ -25,16 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .model import (
-    AFTER_CRYSTALS,
-    BALANCE_PORT,
-    FILTER_PORT,
-    FULL,
-    IDLER,
-    SIGNAL_A,
-    SIGNAL_B,
-    SetupParams,
-)
+from .model import FULL, PHASE, SIGNAL_A, SIGNAL_B, SPLIT, SQUEEZE, SetupParams, network
 
 UNRELIABLE_TOP_POPULATION = 1e-8
 HARD_LEAKAGE_LIMIT = 1e-4
@@ -284,6 +278,21 @@ def pair_correlation(state: FockState, mode_a: int, mode_b: int) -> complex:
     return complex(np.vdot(state.amplitudes, _lowered(_lowered(state.amplitudes, mode_a), mode_b)))
 
 
+def moment_matrices(state: FockState) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
+    """All second moments: normal <a_i^dag a_j> and anomalous <a_i a_j>, each (n, n).
+
+    Taken as <a_i psi|a_j psi> and <a_i^dag psi|a_j psi> from 2n ladder
+    applications; inner products with one raised state at a time, not
+    stacked matrix products, keep at most n + 2 state-sized arrays alive.
+    """
+    psi = state.amplitudes
+    lowered = [_lowered(psi, i) for i in range(state.n_modes)]
+    raised = (_raised(psi, i) for i in range(state.n_modes))
+    normal = np.array([[np.vdot(bra, ket) for ket in lowered] for bra in lowered])
+    anomalous = np.array([[np.vdot(bra, ket) for ket in lowered] for bra in raised])
+    return normal, anomalous
+
+
 def number_covariance(state: FockState, mode_a: int, mode_b: int) -> float:
     """Cov(N_i, N_j) from the joint photon-number distribution."""
     _check_state_modes(state, mode_a)
@@ -304,9 +313,7 @@ def difference_statistics(state: FockState, mode_a: int, mode_b: int) -> tuple[f
     return mean, var
 
 
-def observables_from_state(
-    state: FockState, signal_a: int = SIGNAL_A, signal_b: int = SIGNAL_B
-) -> OracleObservables:
+def observables_from_state(state: FockState) -> OracleObservables:
     """Counts, coherence and difference statistics of the two signal modes.
 
     Refuses to report from a state flagged unreliable, since its
@@ -318,33 +325,28 @@ def observables_from_state(
             f"{state.peak_top_population:.3e} exceeds {UNRELIABLE_TOP_POPULATION:.0e}; "
             f"increase the cutoff (currently {state.cutoff})"
         )
-    n_a = number_mean(state, signal_a)
-    n_b = number_mean(state, signal_b)
-    cross = cross_correlation(state, signal_a, signal_b)
+    n_a = number_mean(state, SIGNAL_A)
+    n_b = number_mean(state, SIGNAL_B)
+    cross = cross_correlation(state, SIGNAL_A, SIGNAL_B)
     denom = math.sqrt(n_a * n_b)
     gamma = abs(cross) / denom if denom > 0.0 else math.nan
-    diff_mean, diff_var = difference_statistics(state, signal_a, signal_b)
+    diff_mean, diff_var = difference_statistics(state, SIGNAL_A, SIGNAL_B)
     return OracleObservables(n_a, n_b, cross, gamma, diff_mean, diff_var)
 
 
 def simulate_network(params: SetupParams, cutoff: int, cut: str = FULL) -> FockState:
-    """Run the interferometer in truncated Fock space.
+    """Run `model.network` from vacuum in truncated Fock space.
 
-    Same element sequence and mode layout as `model.build_network`, but
-    computed entirely through Fock-space unitaries.
+    Same elements and mode layout as the Gaussian engine's
+    `model.build_network`, computed entirely through Fock-space unitaries.
     """
-    if cut not in (AFTER_CRYSTALS, FULL):
-        raise ValueError(f"unknown cut {cut!r}")
-    n = 4 if params.t2 >= 1.0 else 5
+    n, elements = network(params, cut)
+    # looked up per call, not at import, so rebinding a module attribute
+    # (as a tracer does) reaches the propagation
+    apply = {SQUEEZE: apply_two_mode_squeezer, PHASE: apply_phase, SPLIT: apply_beam_splitter}
     state = vacuum(n, cutoff)
-    state = apply_two_mode_squeezer(state, SIGNAL_A, IDLER, params.gain_a, params.theta_a)
-    state = apply_phase(state, IDLER, params.idler_phase)
-    state = apply_beam_splitter(state, IDLER, FILTER_PORT, params.t)
-    state = apply_two_mode_squeezer(state, SIGNAL_B, IDLER, params.gain_b, params.theta_b)
-    if n == 5:
-        state = apply_beam_splitter(state, SIGNAL_B, BALANCE_PORT, params.t2)
-    if cut == FULL:
-        state = apply_beam_splitter(state, SIGNAL_A, SIGNAL_B, 0.5)
+    for kind, *args in elements:
+        state = apply[kind](state, *args)
     return state
 
 

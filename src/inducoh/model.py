@@ -7,7 +7,9 @@ A even though the two signals never interacted.  Both signals meet on a
 balanced splitter and the detector counts show fringes in the pump
 phase difference.
 
-Mode layout used by `build_network`:
+`network` alone knows the layout; the Gaussian engine (`build_network`)
+and the Fock oracle (`fock.simulate_network`) both evaluate its element
+list.  Its modes are
 
     0  signal of crystal A
     1  signal of crystal B
@@ -54,6 +56,12 @@ BALANCE_PORT = 4
 
 AFTER_CRYSTALS = "after_crystals"
 FULL = "full"
+
+SQUEEZE = "squeeze"
+PHASE = "phase"
+SPLIT = "split"
+
+_DETECTION = (SPLIT, SIGNAL_A, SIGNAL_B, 0.5)
 
 
 @dataclass(frozen=True)
@@ -147,27 +155,48 @@ class RegimeReport:
     validity: float
 
 
-def build_network(params: SetupParams, cut: str = FULL) -> GaussianMap:
-    """Bogoliubov transform of the interferometer up to the given plane.
+def network(params: SetupParams, cut: str = FULL) -> tuple[int, list[tuple]]:
+    """Mode count and element list of the interferometer up to the given plane.
 
-    `cut="after_crystals"` stops after crystal B (and the optional
-    signal-B attenuator); `cut="full"` appends the balanced splitter in
-    front of the detectors.
+    Elements come in order of traversal as (SQUEEZE, signal, idler, gain,
+    pump_phase), (PHASE, mode, phase) and (SPLIT, mode_a, mode_b,
+    transmittance), arguments in the order the `fock.apply_*` functions
+    take them.  `cut="after_crystals"` stops after crystal B (and
+    the optional signal-B attenuator); `cut="full"` appends the balanced
+    splitter in front of the detectors.
     """
     if cut not in (AFTER_CRYSTALS, FULL):
         raise ValueError(f"unknown cut {cut!r}")
     n = 4 if params.t2 >= 1.0 else 5
-    steps = [
-        two_mode_squeezer(n, SIGNAL_A, IDLER, CrystalParams(params.gain_a, params.theta_a)),
-        phase_shifter(n, IDLER, params.idler_phase),
-        beam_splitter(n, IDLER, FILTER_PORT, FilterParams.from_intensity(params.t)),
-        two_mode_squeezer(n, SIGNAL_B, IDLER, CrystalParams(params.gain_b, params.theta_b)),
+    elements = [
+        (SQUEEZE, SIGNAL_A, IDLER, params.gain_a, params.theta_a),
+        (PHASE, IDLER, params.idler_phase),
+        (SPLIT, IDLER, FILTER_PORT, params.t),
+        (SQUEEZE, SIGNAL_B, IDLER, params.gain_b, params.theta_b),
     ]
     if n == 5:
-        steps.append(beam_splitter(n, SIGNAL_B, BALANCE_PORT, FilterParams.from_intensity(params.t2)))
+        elements.append((SPLIT, SIGNAL_B, BALANCE_PORT, params.t2))
     if cut == FULL:
-        steps.append(beam_splitter(n, SIGNAL_A, SIGNAL_B, FilterParams.from_intensity(0.5)))
-    return chain(*steps)
+        elements.append(_DETECTION)
+    return n, elements
+
+
+def _gaussian(n: int, element: tuple) -> GaussianMap:
+    """Bogoliubov transform of one `network` element on n modes."""
+    kind, *args = element
+    if kind == SQUEEZE:
+        signal, idler, gain, pump_phase = args
+        return two_mode_squeezer(n, signal, idler, CrystalParams(gain, pump_phase))
+    if kind == PHASE:
+        return phase_shifter(n, *args)
+    mode_a, mode_b, transmittance = args
+    return beam_splitter(n, mode_a, mode_b, FilterParams.from_intensity(transmittance))
+
+
+def build_network(params: SetupParams, cut: str = FULL) -> GaussianMap:
+    """Bogoliubov transform of the interferometer up to the given plane."""
+    n, elements = network(params, cut)
+    return chain(*(_gaussian(n, element) for element in elements))
 
 
 def _fringe_amplitude(params: SetupParams) -> float:
@@ -216,7 +245,7 @@ def induced_coherence(params: SetupParams) -> float:
     The engine evaluation degenerates to 0/0 at va = 0, where this
     closed form continues smoothly to sqrt(t).
     """
-    return math.sqrt(params.t * (1.0 + params.va) / (1.0 + params.t * params.va))
+    return visibility_optimal(params.va, params.t)
 
 
 def n_minus_statistics(params: SetupParams) -> tuple[float, float]:
@@ -450,7 +479,7 @@ def fringe_scan(params: SetupParams, phases) -> list[tuple[float, float, float]]
         raise ValueError("fringe scan needs a non-empty phase grid")
     base = build_network(params, AFTER_CRYSTALS)
     n = base.n_modes
-    splitter = beam_splitter(n, SIGNAL_A, SIGNAL_B, FilterParams.from_intensity(0.5))
+    splitter = _gaussian(n, _DETECTION)
     rows = []
     for alpha in grid:
         net = compose(splitter, compose(phase_shifter(n, SIGNAL_A, alpha), base))

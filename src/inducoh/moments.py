@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .bogoliubov import DEFAULT_TOLERANCE, GaussianMap, validate
+from .bogoliubov import GaussianMap, _check_modes, validate
 
 _IMAG_TOL = 1e-12
 
@@ -50,19 +50,13 @@ def _real(value: complex, what: str) -> float:
     return float(value.real)
 
 
-def _check_indices(moments: MomentSet, *modes: int) -> None:
-    for mode in modes:
-        if not 0 <= mode < moments.n_modes:
-            raise ValueError(f"mode index {mode} out of range for {moments.n_modes} modes")
-
-
-def moments_from_map(transform: GaussianMap, tolerance: float = DEFAULT_TOLERANCE) -> MomentSet:
+def moments_from_map(transform: GaussianMap) -> MomentSet:
     """Second moments of the output state when the inputs are in vacuum.
 
     Raises ValueError if `transform` fails its commutator invariants at
-    `tolerance`; moments of an ill-formed map would be meaningless.
+    the engine tolerance; moments of an ill-formed map would be meaningless.
     """
-    report = validate(transform, tolerance)
+    report = validate(transform)
     if not report.ok:
         raise ValueError(
             "transform violates commutation invariants "
@@ -76,19 +70,21 @@ def moments_from_map(transform: GaussianMap, tolerance: float = DEFAULT_TOLERANC
 
 def number_mean(moments: MomentSet, mode: int) -> float:
     """Mean photon number <N_i> of one output mode."""
-    _check_indices(moments, mode)
+    _check_modes(moments.n_modes, mode)
     return _real(complex(moments.normal[mode, mode]), "number mean")
 
 
 def cross_correlation(moments: MomentSet, mode_i: int, mode_j: int) -> complex:
     """First-order coherence <a_i^dag a_j> between two output modes."""
-    _check_indices(moments, mode_i, mode_j)
+    _check_modes(moments.n_modes, mode_i)
+    _check_modes(moments.n_modes, mode_j)
     return complex(moments.normal[mode_i, mode_j])
 
 
 def number_covariance(moments: MomentSet, mode_i: int, mode_j: int) -> float:
     """Photon-number covariance Cov(N_i, N_j) of the output state."""
-    _check_indices(moments, mode_i, mode_j)
+    _check_modes(moments.n_modes, mode_i)
+    _check_modes(moments.n_modes, mode_j)
     cov = (
         abs(moments.anomalous[mode_i, mode_j]) ** 2
         + abs(moments.normal[mode_i, mode_j]) ** 2
@@ -100,9 +96,7 @@ def number_covariance(moments: MomentSet, mode_i: int, mode_j: int) -> float:
 
 def difference_statistics(moments: MomentSet, mode_i: int, mode_j: int) -> tuple[float, float]:
     """Mean and variance of the photon-number difference N_i - N_j."""
-    _check_indices(moments, mode_i, mode_j)
-    if mode_i == mode_j:
-        raise ValueError("difference statistics need two distinct modes")
+    _check_modes(moments.n_modes, mode_i, mode_j)
     mean = number_mean(moments, mode_i) - number_mean(moments, mode_j)
     var = (
         number_covariance(moments, mode_i, mode_i)

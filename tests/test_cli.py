@@ -129,6 +129,65 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config key" in err
 
 
+# every optional flag of every subcommand, except --help and --config, with its type
+CONFIG_KEY_TYPES = {
+    "va": float, "vb": float, "t": float, "t2": float, "phi": float, "r_max": float,
+    "pulses": int, "seed": int, "cutoff": int, "samples": int, "resolution": int,
+    "grid": str, "format": str, "out": str, "gains": str, "vary": str,
+}
+
+
+def _optimize_with_config(capsys, tmp_path, line):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n")
+    return run(capsys, "optimize", "--va", "1", "--t", "1", "--config", str(config))
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_KEY_TYPES))
+def test_config_key_is_converted_with_its_flag_type(key, tmp_path, capsys):
+    """A config value goes through its flag's type: "1.5" fails int keys, "abc"
+    fails every numeric key, and a key for another subcommand is accepted."""
+    kind = CONFIG_KEY_TYPES[key]
+    spelling = key.replace("_", "-")
+    for text, accepted in (("2", True), ("1.5", kind is not int), ("abc", kind is str)):
+        code, _, err = _optimize_with_config(capsys, tmp_path, f"{spelling} = {text}")
+        assert "unknown config key" not in err
+        assert code == (0 if accepted else 1), (key, text, err)
+        if not accepted:
+            assert f"bad value for {key}" in err
+
+
+@pytest.mark.parametrize("key", ["parameter", "figure", "config"])
+def test_config_rejects_positionals_and_the_config_flag(key, tmp_path, capsys):
+    code, _, err = _optimize_with_config(capsys, tmp_path, f"{key} = 1")
+    assert code == 1
+    assert "unknown config key" in err
+
+
+def test_config_values_reach_their_subcommands(tmp_path, capsys):
+    code, out, _ = _optimize_with_config(capsys, tmp_path, "pulses = 3")
+    assert code == 0
+    record = dict(line.split(" = ") for line in out.strip().split("\n"))
+    assert float(record["snr_multipulse"]) == pytest.approx(3 * float(record["snr"]), rel=1e-11)
+
+    config = tmp_path / "figure.cfg"
+    config.write_text(f"gains = 0.5,3\nresolution = 5\nout = {tmp_path / 'curves'}\n")
+    code, out, _ = run(capsys, "figure", "coherence", "--config", str(config))
+    assert code == 0
+    names = sorted(path.name for path in (tmp_path / "curves").glob("*.csv"))
+    assert names == ["coherence_va0.5.csv", "coherence_va3.csv"]
+    assert len((tmp_path / "curves" / "coherence_va3.csv").read_text().strip().split("\n")) == 6
+
+    config = tmp_path / "sweep.cfg"
+    config.write_text("va = 1.3\nvb = 0.7\nt = 0.6\nt2 = 0.8\nphi = 0.2\npulses = 3\n")
+    flags = ("--va", "1.3", "--vb", "0.7", "--t", "0.6", "--t2", "0.8", "--phi", "0.2", "--pulses", "3")
+    code, from_flags, _ = run(capsys, "sweep", "t", "--grid", "0:1:5", *flags)
+    assert code == 0
+    code, from_config, _ = run(capsys, "sweep", "t", "--grid", "0:1:5", "--config", str(config))
+    assert code == 0
+    assert from_config == from_flags
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -136,6 +195,7 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
         ["sweep", "t", "--grid", "0:1:1"],  # fewer than two points
         ["sweep", "q", "--grid", "0:1:5"],  # unknown parameter
         ["optimize"],  # missing required values
+        ["optimize", "--va", "1", "--t", "1", "--t2", "0.5"],  # only sweep reads t2
         ["validate", "--samples", "0"],
         ["figure", "nosuch"],
         [],

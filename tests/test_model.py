@@ -61,6 +61,24 @@ def test_network_without_gain_emits_nothing():
     assert np.all(ms.normal == 0)
 
 
+@pytest.mark.parametrize("t2, n_modes", [(1.0, 4), (0.3, 5)])
+def test_full_network_is_the_crystals_plus_the_detection_split(t2, n_modes):
+    params = model.SetupParams(va=1.5, vb=0.4, t=0.6, t2=t2, theta_a=0.2, theta_b=1.3, idler_phase=0.8)
+    n_full, full = model.network(params, model.FULL)
+    n_arm, arm = model.network(params, model.AFTER_CRYSTALS)
+    assert n_full == n_arm == n_modes
+    assert full == arm + [(model.SPLIT, model.SIGNAL_A, model.SIGNAL_B, 0.5)]
+    attenuator = (model.SPLIT, model.SIGNAL_B, model.BALANCE_PORT, t2)
+    assert (attenuator in arm) == (t2 < 1.0)
+    modes = [m for kind, *args in full for m in (args[:1] if kind == model.PHASE else args[:2])]
+    assert set(modes) == set(range(n_modes))
+
+
+def test_build_network_rejects_an_unknown_cut():
+    with pytest.raises(ValueError, match="unknown cut"):
+        model.build_network(model.SetupParams(va=0.1, vb=0.1, t=1), cut="nowhere")
+
+
 def test_network_grows_to_five_modes_only_when_attenuating():
     assert model.build_network(model.SetupParams(va=1, vb=1, t=0.5)).n_modes == 4
     assert model.build_network(model.SetupParams(va=1, vb=1, t=0.5, t2=0.9)).n_modes == 5
