@@ -33,8 +33,6 @@ _SWEEP_COLUMNS = (
     "snr",
 )
 
-_PARAM_DEFAULTS = {"va": 1.0, "vb": 1.0, "t": 1.0, "t2": 1.0, "phi": 0.0, "pulses": 1}
-
 
 class _UsageError(Exception):
     pass
@@ -50,13 +48,17 @@ def _fmt(value: float) -> str:
     return _FLOAT_FMT.format(float(value))
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
 def _config_types(parser: argparse.ArgumentParser) -> dict:
     """Config keys and their converters: the optional flags of every
     subcommand, except --help and --config, with their argparse types."""
-    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return {
         action.dest: action.type or str
-        for command in subcommands.choices.values()
+        for command in _subcommands(parser).values()
         for action in command._actions
         if action.option_strings and action.dest not in ("help", "config")
     }
@@ -86,19 +88,13 @@ def _load_config(path: str, types: dict) -> dict:
     return values
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill arguments not given on the command line from the config file.
-    Flags always win over config values."""
-    config = _load_config(args.config, _config_types(parser)) if getattr(args, "config", None) else {}
-    for key, value in config.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
-
-
-def _apply_param_defaults(args: argparse.Namespace) -> None:
-    for key, default in _PARAM_DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, default)
+def _check_choices(config: dict, command: argparse.ArgumentParser) -> dict:
+    """argparse checks only flags against their choices, not defaults."""
+    for action in command._actions:
+        if action.choices and action.dest in config and config[action.dest] not in action.choices:
+            value, choices = config[action.dest], ", ".join(action.choices)
+            raise _UsageError(f"bad value for {action.dest}: {value!r} (choose from {choices})")
+    return config
 
 
 def _setup_from_args(args: argparse.Namespace) -> model.SetupParams:
@@ -112,7 +108,9 @@ def _setup_from_args(args: argparse.Namespace) -> model.SetupParams:
     )
 
 
-def _parse_grid(text: str) -> np.ndarray:
+def _parse_grid(text: str | None) -> np.ndarray:
+    if text is None:
+        raise _UsageError("sweep needs --grid start:stop:count (flag or config)")
     parts = text.split(":")
     if len(parts) != 3:
         raise _UsageError(f"grid must be start:stop:count, got {text!r}")
@@ -153,14 +151,6 @@ def _emit_rows(header: list[str], rows: list[list[float]], fmt: str, out: str | 
 
 
 def _sweep_point(base: model.SetupParams, parameter: str, value: float, vary: str) -> model.SetupParams:
-    if parameter == "va":
-        return replace(base, va=float(value))
-    if parameter == "vb":
-        return replace(base, vb=float(value))
-    if parameter == "t":
-        return replace(base, t=float(value))
-    if parameter == "t2":
-        return replace(base, t2=float(value))
     if parameter == "phi":
         return replace(base, theta_a=2.0 * float(value))
     if parameter == "tau":
@@ -171,11 +161,10 @@ def _sweep_point(base: model.SetupParams, parameter: str, value: float, vary: st
             return replace(base, t=1.0, theta_a=math.acos(math.sqrt(value)))
         # tau = T at zero phase
         return replace(base, t=float(value), theta_a=0.0)
-    raise _UsageError(f"unknown sweep parameter {parameter!r}")
+    return replace(base, **{parameter: float(value)})
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    _apply_param_defaults(args)
     base = _setup_from_args(args)
     grid = _parse_grid(args.grid)
     rows = []
@@ -203,33 +192,30 @@ def _figure_path(out_dir: str, stem: str, fmt: str) -> str:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    resolution = args.resolution if args.resolution is not None else 200
-    if resolution < 2:
-        raise _UsageError(f"resolution must be >= 2, got {resolution}")
-    out_dir = args.out if args.out is not None else "."
-    os.makedirs(out_dir, exist_ok=True)
-    grid = np.linspace(0.0, 1.0, resolution)
+    if args.resolution < 2:
+        raise _UsageError(f"resolution must be >= 2, got {args.resolution}")
+    os.makedirs(args.out, exist_ok=True)
+    grid = np.linspace(0.0, 1.0, args.resolution)
     written = []
 
     def emit(stem: str, header: list[str], rows: list[list[float]]) -> None:
-        path = _figure_path(out_dir, stem, args.format)
+        path = _figure_path(args.out, stem, args.format)
         _emit_rows(header, rows, args.format, path)
         written.append(path)
 
+    default_gains = [0.0, 1.0, 10.0, 100.0] if args.figure == "coherence" else [1.0, 10.0, 100.0]
+    gains = _parse_gains(args.gains) if args.gains else default_gains
     if args.figure == "coherence":
-        gains = _parse_gains(args.gains) if args.gains else [0.0, 1.0, 10.0, 100.0]
         for gain in gains:
             rows = [[t, model.visibility_optimal(gain, t)] for t in grid]
             emit(f"coherence_va{gain:g}", ["t", "gamma12"], rows)
     elif args.figure == "visibility":
-        gains = _parse_gains(args.gains) if args.gains else [1.0, 10.0, 100.0]
         for gain in gains:
             rows = [[t, model.visibility_equal_gain(gain, t)] for t in grid]
             emit(f"visibility_eg_va{gain:g}", ["t", "visibility"], rows)
             rows = [[t, model.visibility_optimal(gain, t)] for t in grid]
             emit(f"visibility_opt_va{gain:g}", ["t", "visibility"], rows)
     else:
-        gains = _parse_gains(args.gains) if args.gains else [1.0, 10.0, 100.0]
         rows = [[tau, model.snr_low_gain(0.01, tau)] for tau in grid]
         emit("snr_lg", ["tau", "snr"], rows)
         for gain in gains:
@@ -246,10 +232,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     if args.va is None or args.t is None:
         raise _UsageError("optimize requires --va and --t")
     va, t = args.va, args.t
-    phi = args.phi if args.phi is not None else 0.0
-    pulses = args.pulses if args.pulses is not None else 1
     vb_star = model.optimize_vb(va, t)
-    optimal = model.SetupParams(va=va, vb=vb_star, t=t, theta_a=2.0 * phi, pulses=pulses)
+    optimal = model.SetupParams(va=va, vb=vb_star, t=t, theta_a=2.0 * args.phi, pulses=args.pulses)
     record: dict = {
         "va": va,
         "t": t,
@@ -262,7 +246,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     if args.vb is not None:
         t2_star = model.optimize_t2(va, args.vb, t)
         record["vb"] = args.vb
-        record["t2_star"] = t2_star if t2_star is not None else "infeasible"
+        record["t2_star"] = "infeasible" if t2_star is None else t2_star
     if args.format == "json":
         payload = {
             key: (float(_fmt(value)) if isinstance(value, float) else value)
@@ -277,18 +261,16 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    samples = args.samples if args.samples is not None else 50
-    seed = args.seed if args.seed is not None else validation.DEFAULT_SEED
-    cutoff = args.cutoff if args.cutoff is not None else validation.DEFAULT_CUTOFF
-    r_max = args.r_max if args.r_max is not None else validation.DEFAULT_R_MAX
-    if samples < 1:
-        raise _UsageError(f"--samples must be >= 1, got {samples}")
-    if cutoff < 1:
-        raise _UsageError(f"--cutoff must be >= 1, got {cutoff}")
-    if r_max <= 0.0:
-        raise _UsageError(f"--r-max must be > 0, got {r_max}")
+    if args.samples < 1:
+        raise _UsageError(f"--samples must be >= 1, got {args.samples}")
+    if args.cutoff < 1:
+        raise _UsageError(f"--cutoff must be >= 1, got {args.cutoff}")
+    if args.r_max <= 0.0:
+        raise _UsageError(f"--r-max must be > 0, got {args.r_max}")
     try:
-        results = validation.run_suites(samples=samples, seed=seed, cutoff=cutoff, r_max=r_max)
+        results = validation.run_suites(
+            samples=args.samples, seed=args.seed, cutoff=args.cutoff, r_max=args.r_max
+        )
     except LeakageError as exc:
         sys.stdout.write(f"oracle vs engine: FAIL: {exc}\n")
         return 2
@@ -305,17 +287,19 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--va", type=float, help="brightness of crystal A, sinh^2(r_A)")
     parser.add_argument("--vb", type=float, help="brightness of crystal B, sinh^2(r_B)")
     parser.add_argument("--t", type=float, help="idler filter intensity transmittance")
-    parser.add_argument("--phi", type=float, help="interference phase phi (2 phi enters cos)")
-    parser.add_argument("--pulses", type=int, help="pulses averaged per measurement")
+    parser.add_argument(
+        "--phi", type=float, default=0.0, help="interference phase phi (2 phi enters cos)"
+    )
+    parser.add_argument("--pulses", type=int, default=1, help="pulses averaged per measurement")
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="inducoh", description=__doc__)
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", parser_class=_Parser, required=True)
 
     sweep = sub.add_parser("sweep", help="tabulate observables along one parameter")
     sweep.add_argument("parameter", choices=["va", "vb", "t", "t2", "phi", "tau"])
-    sweep.add_argument("--grid", required=True, help="start:stop:count")
+    sweep.add_argument("--grid", help="start:stop:count")
     sweep.add_argument(
         "--vary",
         choices=["transmission", "phase"],
@@ -323,30 +307,48 @@ def _build_parser() -> _Parser:
         help="how a tau sweep is realized: vary T at phi=0, or vary phi at T=1",
     )
     _add_param_flags(sweep)
-    sweep.add_argument("--t2", type=float, help="signal-B arm attenuator transmittance")
+    sweep.add_argument(
+        "--t2", type=float, default=1.0, help="signal-B arm attenuator transmittance"
+    )
     sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     sweep.add_argument("--out", help="output file (default: stdout)")
     sweep.add_argument("--config", help="key=value config file; flags override it")
+    sweep.set_defaults(run=_cmd_sweep, va=1.0, vb=1.0, t=1.0)
 
     figure = sub.add_parser("figure", help="emit curve families as CSV/JSON files")
     figure.add_argument("figure", choices=["coherence", "visibility", "snr"])
     figure.add_argument("--gains", help="comma-separated brightness list for the curves")
-    figure.add_argument("--resolution", type=int, help="points per curve (default 200)")
+    figure.add_argument(
+        "--resolution", type=int, default=200, help="points per curve (default %(default)s)"
+    )
     figure.add_argument("--format", choices=["csv", "json"], default="csv")
-    figure.add_argument("--out", help="output directory (default: current)")
+    figure.add_argument("--out", default=".", help="output directory (default: current)")
     figure.add_argument("--config", help="key=value config file; flags override it")
+    figure.set_defaults(run=_cmd_figure)
 
     optimize = sub.add_parser("optimize", help="optimal vb (and t2 when --vb is given)")
     _add_param_flags(optimize)
     optimize.add_argument("--format", choices=["text", "json"], default="text")
     optimize.add_argument("--config", help="key=value config file; flags override it")
+    optimize.set_defaults(run=_cmd_optimize)
 
     val = sub.add_parser("validate", help="run the dual-path validation suites")
-    val.add_argument("--samples", type=int, help="oracle suite sample count (default 50)")
-    val.add_argument("--seed", type=int, help="RNG seed (default 1234)")
-    val.add_argument("--cutoff", type=int, help="oracle Fock cutoff (default 12)")
-    val.add_argument("--r-max", type=float, dest="r_max", help="largest drawn gain (default 0.6)")
+    val.add_argument(
+        "--samples", type=int, default=50, help="oracle suite sample count (default %(default)s)"
+    )
+    val.add_argument(
+        "--seed", type=int, default=validation.DEFAULT_SEED, help="RNG seed (default %(default)s)"
+    )
+    val.add_argument(
+        "--cutoff", type=int, default=validation.DEFAULT_CUTOFF,
+        help="oracle Fock cutoff (default %(default)s)",
+    )
+    val.add_argument(
+        "--r-max", type=float, dest="r_max", default=validation.DEFAULT_R_MAX,
+        help="largest drawn gain (default %(default)s)",
+    )
     val.add_argument("--config", help="key=value config file; flags override it")
+    val.set_defaults(run=_cmd_validate)
 
     return parser
 
@@ -355,16 +357,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is None:
-            raise _UsageError("missing subcommand (sweep, figure, optimize, validate)")
-        _merge_config(args, parser)
-        handler = {
-            "sweep": _cmd_sweep,
-            "figure": _cmd_figure,
-            "optimize": _cmd_optimize,
-            "validate": _cmd_validate,
-        }[args.command]
-        return handler(args)
+        if args.config:
+            # config values become the running subcommand's defaults, so flags win
+            command = _subcommands(parser)[args.command]
+            config = _load_config(args.config, _config_types(parser))
+            command.set_defaults(**_check_choices(config, command))
+            args = parser.parse_args(argv)
+        return args.run(args)
     except _UsageError as exc:
         sys.stderr.write(f"inducoh: error: {exc}\n")
         return 1

@@ -119,23 +119,17 @@ def basis_state(n_modes: int, cutoff: int, occupations) -> FockState:
     return FockState(cutoff, amps)
 
 
-def _lowered(psi: np.ndarray, axis: int) -> np.ndarray:
-    """Apply the annihilation operator of one mode."""
+def _ladder(psi: np.ndarray, axis: int, create: bool = False) -> np.ndarray:
+    """Apply the annihilation operator of one mode, or with `create` the
+    creation operator (truncated at the cutoff)."""
     moved = np.moveaxis(psi, axis, 0)
     out = np.zeros_like(moved)
     d = psi.shape[axis]
     weights = np.sqrt(np.arange(1.0, d)).reshape((-1,) + (1,) * (moved.ndim - 1))
-    out[:-1] = weights * moved[1:]
-    return np.moveaxis(out, 0, axis)
-
-
-def _raised(psi: np.ndarray, axis: int) -> np.ndarray:
-    """Apply the creation operator of one mode (truncated at the cutoff)."""
-    moved = np.moveaxis(psi, axis, 0)
-    out = np.zeros_like(moved)
-    d = psi.shape[axis]
-    weights = np.sqrt(np.arange(1.0, d)).reshape((-1,) + (1,) * (moved.ndim - 1))
-    out[1:] = weights * moved[:-1]
+    if create:
+        out[1:] = weights * moved[:-1]
+    else:
+        out[:-1] = weights * moved[1:]
     return np.moveaxis(out, 0, axis)
 
 
@@ -268,14 +262,14 @@ def cross_correlation(state: FockState, mode_a: int, mode_b: int) -> complex:
     """<a_i^dag a_j> evaluated from ladder matrix elements."""
     _check_state_modes(state, mode_a)
     _check_state_modes(state, mode_b)
-    return complex(np.vdot(_lowered(state.amplitudes, mode_a), _lowered(state.amplitudes, mode_b)))
+    return complex(np.vdot(_ladder(state.amplitudes, mode_a), _ladder(state.amplitudes, mode_b)))
 
 
 def pair_correlation(state: FockState, mode_a: int, mode_b: int) -> complex:
     """<a_i a_j> evaluated from ladder matrix elements."""
     _check_state_modes(state, mode_a)
     _check_state_modes(state, mode_b)
-    return complex(np.vdot(state.amplitudes, _lowered(_lowered(state.amplitudes, mode_a), mode_b)))
+    return complex(np.vdot(state.amplitudes, _ladder(_ladder(state.amplitudes, mode_a), mode_b)))
 
 
 def moment_matrices(state: FockState) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
@@ -286,8 +280,8 @@ def moment_matrices(state: FockState) -> tuple[NDArray[np.complex128], NDArray[n
     stacked matrix products, keep at most n + 2 state-sized arrays alive.
     """
     psi = state.amplitudes
-    lowered = [_lowered(psi, i) for i in range(state.n_modes)]
-    raised = (_raised(psi, i) for i in range(state.n_modes))
+    lowered = [_ladder(psi, i) for i in range(state.n_modes)]
+    raised = (_ladder(psi, i, create=True) for i in range(state.n_modes))
     normal = np.array([[np.vdot(bra, ket) for ket in lowered] for bra in lowered])
     anomalous = np.array([[np.vdot(bra, ket) for ket in lowered] for bra in raised])
     return normal, anomalous

@@ -146,15 +146,41 @@ def _optimize_with_config(capsys, tmp_path, line):
 @pytest.mark.parametrize("key", sorted(CONFIG_KEY_TYPES))
 def test_config_key_is_converted_with_its_flag_type(key, tmp_path, capsys):
     """A config value goes through its flag's type: "1.5" fails int keys, "abc"
-    fails every numeric key, and a key for another subcommand is accepted."""
+    fails every numeric key, and a key for another subcommand is accepted.
+    `format` is an optimize flag, so its value must also be text or json."""
     kind = CONFIG_KEY_TYPES[key]
     spelling = key.replace("_", "-")
     for text, accepted in (("2", True), ("1.5", kind is not int), ("abc", kind is str)):
+        accepted = accepted and key != "format"
         code, _, err = _optimize_with_config(capsys, tmp_path, f"{spelling} = {text}")
         assert "unknown config key" not in err
         assert code == (0 if accepted else 1), (key, text, err)
         if not accepted:
             assert f"bad value for {key}" in err
+
+
+def test_config_supplies_format_vary_and_grid(tmp_path, capsys):
+    config = tmp_path / "f.cfg"
+    config.write_text("format = json\nvary = phase\ngrid = 0.25:0.25:2\n")
+    argv = ("sweep", "tau", "--va", "1", "--vb", "1", "--config", str(config))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    records = json.loads(out)
+    assert records[0]["gamma12"] == 1  # phase sweep: t = 1
+    assert records[0]["n1_det"] == 2.20710678119
+    flags = ("--grid", "0.25:0.25:2", "--vary", "phase", "--format", "json")
+    assert run(capsys, "sweep", "tau", "--va", "1", "--vb", "1", *flags)[1] == out
+
+    code, out, _ = run(capsys, *argv, "--format", "csv")  # the flag beats the config
+    assert code == 0
+    header, row = out.strip().split("\n")[:2]
+    assert header.startswith("tau,n1_det,")
+    assert row.split(",")[1] == "2.20710678119"
+
+    config.write_text("format = xml\n")
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "bad value for format" in err
 
 
 @pytest.mark.parametrize("key", ["parameter", "figure", "config"])
@@ -199,6 +225,7 @@ def test_config_values_reach_their_subcommands(tmp_path, capsys):
         ["validate", "--samples", "0"],
         ["figure", "nosuch"],
         [],
+        ["sweep", "t"],  # no grid from a flag or a config
     ],
 )
 def test_usage_errors_exit_one(argv, capsys):
