@@ -13,7 +13,9 @@ exponentiated exactly from cached per-block eigendecompositions; a pump
 phase theta enters as e^{i theta n_a} exp(r K) e^{-i theta n_a}.  The
 truncated evolution is exactly unitary, so truncation error shows up as
 population near the cutoff, which `leakage_report` exposes and
-`observables_from_state` refuses to ignore.
+`moment_matrices` (second moments from ladder matrix elements) and
+`number_moments` (number means and covariances from |psi|^2, no Wick
+formula) refuse to ignore.
 
 The interferometer is `model.network`, the element list the Gaussian
 engine also evaluates; `simulate_network` applies it element by element.
@@ -28,9 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .model import FULL, PHASE, SIGNAL_A, SIGNAL_B, SPLIT, SQUEEZE, SetupParams, network
+from .model import FULL, PHASE, SPLIT, SQUEEZE, SetupParams, network
 
-UNRELIABLE_TOP_POPULATION = 1e-8
+# A moment weighted by N^k errs by up to about cutoff^k times the top-level
+# population: at cutoff 12, ~25 times it for second moments and ~115 times for
+# number covariances (1e-8 put one 1.08e-6 off).  5e-9 keeps both inside the
+# oracle's 1e-6 tolerance.
+UNRELIABLE_TOP_POPULATION = 5e-9
 HARD_LEAKAGE_LIMIT = 1e-4
 _SQUEEZER = "squeezer"
 _SPLITTER = "splitter"
@@ -85,18 +91,6 @@ class FockState:
         return self.peak_top_population > UNRELIABLE_TOP_POPULATION
 
 
-@dataclass(frozen=True)
-class OracleObservables:
-    """Counts, coherence and difference statistics of two chosen modes."""
-
-    n_a: float
-    n_b: float
-    cross: complex
-    gamma12: float
-    diff_mean: float
-    diff_var: float
-
-
 def vacuum(n_modes: int, cutoff: int) -> FockState:
     if n_modes < 1:
         raise ValueError(f"need at least one mode, got {n_modes}")
@@ -131,13 +125,6 @@ def _ladder(psi: np.ndarray, axis: int, create: bool = False) -> np.ndarray:
     else:
         out[:-1] = weights * moved[1:]
     return np.moveaxis(out, 0, axis)
-
-
-def _occupation_weighted(values: np.ndarray, axis: int) -> np.ndarray:
-    d = values.shape[axis]
-    shape = [1] * values.ndim
-    shape[axis] = d
-    return values * np.arange(d).reshape(shape)
 
 
 def _level_population(psi: np.ndarray, axis: int, levels: slice) -> float:
@@ -252,12 +239,6 @@ def leakage_report(state: FockState) -> LeakageReport:
     return LeakageReport(top_two, abs(1.0 - state.norm))
 
 
-def number_mean(state: FockState, mode: int) -> float:
-    _check_state_modes(state, mode)
-    probs = np.abs(state.amplitudes) ** 2
-    return float(_occupation_weighted(probs, mode).sum())
-
-
 def cross_correlation(state: FockState, mode_a: int, mode_b: int) -> complex:
     """<a_i^dag a_j> evaluated from ladder matrix elements."""
     _check_state_modes(state, mode_a)
@@ -278,7 +259,9 @@ def moment_matrices(state: FockState) -> tuple[NDArray[np.complex128], NDArray[n
     Taken as <a_i psi|a_j psi> and <a_i^dag psi|a_j psi> from 2n ladder
     applications; inner products with one raised state at a time, not
     stacked matrix products, keep at most n + 2 state-sized arrays alive.
+    Raises LeakageError for a state flagged unreliable.
     """
+    _check_reliable(state)
     psi = state.amplitudes
     lowered = [_ladder(psi, i) for i in range(state.n_modes)]
     raised = (_ladder(psi, i, create=True) for i in range(state.n_modes))
@@ -287,45 +270,29 @@ def moment_matrices(state: FockState) -> tuple[NDArray[np.complex128], NDArray[n
     return normal, anomalous
 
 
-def number_covariance(state: FockState, mode_a: int, mode_b: int) -> float:
-    """Cov(N_i, N_j) from the joint photon-number distribution."""
-    _check_state_modes(state, mode_a)
-    _check_state_modes(state, mode_b)
-    probs = np.abs(state.amplitudes) ** 2
-    joint = float(_occupation_weighted(_occupation_weighted(probs, mode_a), mode_b).sum())
-    return joint - number_mean(state, mode_a) * number_mean(state, mode_b)
+def number_moments(state: FockState) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Photon-number means <N_i>, shape (n,), and covariances Cov(N_i, N_j), (n, n).
 
-
-def difference_statistics(state: FockState, mode_a: int, mode_b: int) -> tuple[float, float]:
-    """Mean and variance of N_i - N_j."""
-    mean = number_mean(state, mode_a) - number_mean(state, mode_b)
-    var = (
-        number_covariance(state, mode_a, mode_a)
-        + number_covariance(state, mode_b, mode_b)
-        - 2.0 * number_covariance(state, mode_a, mode_b)
-    )
-    return mean, var
-
-
-def observables_from_state(state: FockState) -> OracleObservables:
-    """Counts, coherence and difference statistics of the two signal modes.
-
-    Refuses to report from a state flagged unreliable, since its
-    expectation values can be off by more than the truncation budget.
+    Read off the joint number distribution |psi|^2 alone, with no Wick
+    formula: each entry is a weighted sum over the one- or two-mode
+    marginal of the modes it involves, so no state-sized occupation array
+    is built.  Raises LeakageError for a state flagged unreliable.
     """
-    if state.unreliable:
-        raise LeakageError(
-            f"state flagged unreliable: peak top-level population "
-            f"{state.peak_top_population:.3e} exceeds {UNRELIABLE_TOP_POPULATION:.0e}; "
-            f"increase the cutoff (currently {state.cutoff})"
-        )
-    n_a = number_mean(state, SIGNAL_A)
-    n_b = number_mean(state, SIGNAL_B)
-    cross = cross_correlation(state, SIGNAL_A, SIGNAL_B)
-    denom = math.sqrt(n_a * n_b)
-    gamma = abs(cross) / denom if denom > 0.0 else math.nan
-    diff_mean, diff_var = difference_statistics(state, SIGNAL_A, SIGNAL_B)
-    return OracleObservables(n_a, n_b, cross, gamma, diff_mean, diff_var)
+    _check_reliable(state)
+    probs = np.abs(state.amplitudes) ** 2
+    n = state.n_modes
+    levels = np.arange(state.cutoff + 1.0)
+    means = np.empty(n)
+    products = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            marginal = np.einsum(probs, range(n), sorted({i, j}))
+            if i == j:
+                means[i] = levels @ marginal
+                products[i, i] = levels**2 @ marginal
+            else:
+                products[i, j] = products[j, i] = levels @ marginal @ levels
+    return means, products - np.outer(means, means)
 
 
 def simulate_network(params: SetupParams, cutoff: int, cut: str = FULL) -> FockState:
@@ -350,3 +317,13 @@ def _check_state_modes(state: FockState, *modes: int) -> None:
             raise ValueError(f"mode index {m} out of range for {state.n_modes} modes")
     if len(set(modes)) != len(modes):
         raise ValueError(f"mode indices must be distinct, got {modes}")
+
+
+def _check_reliable(state: FockState) -> None:
+    """Refuse a flagged state: its moments can be off by more than the budget."""
+    if state.unreliable:
+        raise LeakageError(
+            f"state flagged unreliable: peak top-level population "
+            f"{state.peak_top_population:.3e} exceeds {UNRELIABLE_TOP_POPULATION:.0e}; "
+            f"increase the cutoff (currently {state.cutoff})"
+        )

@@ -199,28 +199,41 @@ def build_network(params: SetupParams, cut: str = FULL) -> GaussianMap:
     return chain(*(_gaussian(n, element) for element in elements))
 
 
+def _no_overflow(value: float, params: SetupParams) -> float:
+    """`value`, unless a product of the (finite) inputs overflowed to inf."""
+    if math.isinf(value):
+        raise ValueError(f"closed forms overflow at va={params.va:g}, vb_eff={params.vb_effective:g}")
+    return value
+
+
 def _fringe_amplitude(params: SetupParams) -> float:
     """|<a_1'^dag a_2'>| = sqrt((1 + va) va vb_eff t)."""
-    return math.sqrt((1.0 + params.va) * params.va * params.vb_effective * params.t)
+    squared = (1.0 + params.va) * params.va * params.vb_effective * params.t
+    return math.sqrt(_no_overflow(squared, params))
+
+
+def _total_counts(params: SetupParams) -> float:
+    total = params.va + params.vb_effective + params.va * params.vb_effective * params.t
+    return _no_overflow(total, params)
 
 
 def arm_counts(params: SetupParams) -> tuple[float, float]:
     """Mean photon numbers of the two signal arms before the final splitter."""
     n1 = params.va
     n2 = (1.0 + params.t * params.va) * params.vb_effective
-    return n1, n2
+    return n1, _no_overflow(n2, params)
 
 
 def detector_counts(params: SetupParams) -> tuple[float, float]:
     """Mean detector counts N1, N2 = (sum +/- fringe) / 2."""
-    total = params.va + params.vb_effective + params.va * params.vb_effective * params.t
+    total = _total_counts(params)
     fringe = 2.0 * _fringe_amplitude(params) * math.cos(params.fringe_2phi)
     return 0.5 * (total + fringe), 0.5 * (total - fringe)
 
 
 def visibility(params: SetupParams) -> float:
     """Fringe visibility of the detector counts (0 when nothing is emitted)."""
-    total = params.va + params.vb_effective + params.va * params.vb_effective * params.t
+    total = _total_counts(params)
     if total == 0.0:
         return 0.0
     return 2.0 * _fringe_amplitude(params) / total
@@ -252,8 +265,11 @@ def n_minus_statistics(params: SetupParams) -> tuple[float, float]:
     """Mean and variance of the detector count difference N1 - N2."""
     mean = 2.0 * _fringe_amplitude(params) * math.cos(params.fringe_2phi)
     vb = params.vb_effective
-    var = mean**2 + params.va + vb + params.va * vb * (2.0 - params.t)
-    return mean, var
+    try:
+        var = mean**2 + params.va + vb + params.va * vb * (2.0 - params.t)
+    except OverflowError:  # where float * gives inf, float ** raises
+        var = math.inf
+    return mean, _no_overflow(var, params)
 
 
 def snr(params: SetupParams) -> float:

@@ -7,7 +7,9 @@ Two independent routes compute the same observables:
   |a - b| / |b|, with |b| floored at 1e-12 only so that a reference of
   exactly zero cannot divide by zero);
 - the truncated Fock-space oracle vs. the Gaussian engine, comparing all
-  first and second moments (absolute tolerance).
+  first and second moments and the photon-number covariance matrix
+  (absolute tolerance); the oracle reads the covariance off the joint
+  number distribution, so this checks the engine's Wick formula.
 
 The oracle suite only scores configurations whose final state the oracle
 certifies (no unreliable flag, no hard leakage); uncertifiable draws are
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock, model
+from . import fock, model, moments
 
 CLOSED_FORM_TOLERANCE = 1e-9
 ORACLE_TOLERANCE = 1e-6
@@ -110,17 +112,20 @@ def closed_form_suite(samples: int = 200, seed: int = DEFAULT_SEED) -> SuiteResu
 
 
 def oracle_residual(params: model.SetupParams, cutoff: int) -> float | None:
-    """Worst absolute moment deviation, oracle vs engine, or None if the
-    oracle cannot certify the state at this cutoff."""
+    """Worst absolute deviation, oracle vs engine, over the second moments
+    and the photon-number covariance, or None if the oracle cannot certify
+    the state at this cutoff."""
     try:
         state = fock.simulate_network(params, cutoff)
+        normal, anomalous = fock.moment_matrices(state)
+        _, covariance = fock.number_moments(state)
     except fock.LeakageError:
         return None
-    if state.unreliable:
-        return None
     ms = model.engine_moments(params)
-    normal, anomalous = fock.moment_matrices(state)
-    return float(max(np.abs(normal - ms.normal).max(), np.abs(anomalous - ms.anomalous).max()))
+    modes = range(ms.n_modes)
+    wick = np.array([[moments.number_covariance(ms, i, j) for j in modes] for i in modes])
+    residuals = (normal - ms.normal, anomalous - ms.anomalous, covariance - wick)
+    return float(max(np.abs(residual).max() for residual in residuals))
 
 
 def oracle_suite(

@@ -36,8 +36,9 @@ def test_criterion_1_closed_form_engine_duality():
 
 
 def test_criterion_2_fock_oracle_equivalence():
-    """All first and second moments match the truncated-Fock oracle to
-    1e-6 absolute on 50 random certified configurations at cutoff 12."""
+    """All first and second moments and the photon-number covariance
+    matrix match the truncated-Fock oracle to 1e-6 absolute on 50 random
+    certified configurations at cutoff 12."""
     result = validation.oracle_suite(samples=50, cutoff=12, r_max=0.6)
     assert result.tolerance == 1e-6
     assert result.samples >= 50

@@ -240,6 +240,15 @@ def test_domain_errors_exit_one(capsys):
     assert "error" in err
 
 
+def test_overflowing_sweep_exits_one(capsys):
+    code, out, err = run(
+        capsys, "sweep", "va", "--grid", "1e159:1e160:2", "--vb", "1e160", "--t", "0.5"
+    )
+    assert code == 1
+    assert out == ""
+    assert "overflow" in err
+
+
 def test_optimize_text_report(capsys):
     code, out, _ = run(capsys, "optimize", "--va", "1", "--t", "1")
     assert code == 0
