@@ -10,8 +10,6 @@ Layers:
 """
 
 from .bogoliubov import (
-    CrystalParams,
-    FilterParams,
     GaussianMap,
     ValidationReport,
     beam_splitter,
@@ -50,8 +48,6 @@ from .moments import (
 )
 
 __all__ = [
-    "CrystalParams",
-    "FilterParams",
     "GaussianMap",
     "MomentSet",
     "Observables",

@@ -16,7 +16,7 @@ which every constructor in this module satisfies by construction and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -28,60 +28,6 @@ def _frozen(matrix: NDArray) -> NDArray[np.complex128]:
     out = np.array(matrix, dtype=np.complex128)
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True)
-class CrystalParams:
-    """Gain and pump phase of one parametric down-conversion crystal.
-
-    `gain` is the squeezing parameter r of the two-mode squeezer the
-    crystal implements; the mean photon number per output mode from
-    vacuum is sinh(r)^2.
-    """
-
-    gain: float
-    pump_phase: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.gain < 0.0 or not math.isfinite(self.gain):
-            raise ValueError(f"crystal gain must be finite and >= 0, got {self.gain}")
-
-    @property
-    def u(self) -> float:
-        return math.cosh(self.gain)
-
-    @property
-    def v(self) -> complex:
-        return math.sinh(self.gain) * complex(math.cos(self.pump_phase), math.sin(self.pump_phase))
-
-    @property
-    def mean_photons(self) -> float:
-        return math.sinh(self.gain) ** 2
-
-
-@dataclass(frozen=True)
-class FilterParams:
-    """Amplitude transmission/reflection of a lossless beam splitter."""
-
-    transmission: float
-    reflection: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.transmission <= 1.0 and 0.0 <= self.reflection <= 1.0):
-            raise ValueError("beam splitter amplitudes must lie in [0, 1]")
-        if abs(self.transmission**2 + self.reflection**2 - 1.0) > 1e-12:
-            raise ValueError("beam splitter amplitudes must satisfy t^2 + r^2 = 1")
-
-    @classmethod
-    def from_intensity(cls, transmittance: float) -> "FilterParams":
-        """Build from an intensity transmittance T in [0, 1]."""
-        if not 0.0 <= transmittance <= 1.0:
-            raise ValueError(f"intensity transmittance must lie in [0, 1], got {transmittance}")
-        return cls(math.sqrt(transmittance), math.sqrt(1.0 - transmittance))
-
-    @property
-    def intensity(self) -> float:
-        return self.transmission**2
 
 
 @dataclass(frozen=True)
@@ -110,13 +56,12 @@ class ValidationReport:
 
     commutator_residual: float
     symmetry_residual: float
-    tolerance: float = DEFAULT_TOLERANCE
 
     @property
     def ok(self) -> bool:
         return (
-            self.commutator_residual <= self.tolerance
-            and self.symmetry_residual <= self.tolerance
+            self.commutator_residual <= DEFAULT_TOLERANCE
+            and self.symmetry_residual <= DEFAULT_TOLERANCE
         )
 
     @property
@@ -140,26 +85,36 @@ def identity(n_modes: int) -> GaussianMap:
     return GaussianMap(np.eye(n_modes), np.zeros((n_modes, n_modes)))
 
 
-def two_mode_squeezer(n_modes: int, signal: int, idler: int, params: CrystalParams) -> GaussianMap:
-    """Two-mode squeezer coupling `signal` and `idler`.
+def two_mode_squeezer(
+    n_modes: int, signal: int, idler: int, gain: float, pump_phase: float = 0.0
+) -> GaussianMap:
+    """Two-mode squeezer of gain r and pump phase theta coupling `signal` and `idler`.
 
     Output operators: a'_s = u a_s + v a_i^dag and a'_i = u a_i + v a_s^dag
-    with u = cosh(r) real and v = exp(i*theta) sinh(r).
+    with u = cosh(r) real and v = exp(i*theta) sinh(r); the mean photon
+    number per output mode from vacuum is sinh(r)^2.
     """
     _check_modes(n_modes, signal, idler)
+    if gain < 0.0 or not math.isfinite(gain):
+        raise ValueError(f"crystal gain must be finite and >= 0, got {gain}")
+    c = math.cosh(gain)
+    s = math.sinh(gain) * complex(math.cos(pump_phase), math.sin(pump_phase))
     u = np.eye(n_modes, dtype=complex)
     v = np.zeros((n_modes, n_modes), dtype=complex)
-    u[signal, signal] = params.u
-    u[idler, idler] = params.u
-    v[signal, idler] = params.v
-    v[idler, signal] = params.v
+    u[signal, signal] = c
+    u[idler, idler] = c
+    v[signal, idler] = s
+    v[idler, signal] = s
     return GaussianMap(u, v)
 
 
-def beam_splitter(n_modes: int, mode_a: int, mode_b: int, params: FilterParams) -> GaussianMap:
-    """Lossless beam splitter: a' = t a + r b,  b' = t b - r a."""
+def beam_splitter(n_modes: int, mode_a: int, mode_b: int, transmittance: float) -> GaussianMap:
+    """Lossless beam splitter of intensity transmittance T: a' = t a + r b,
+    b' = t b - r a with t = sqrt(T) and r = sqrt(1 - T)."""
     _check_modes(n_modes, mode_a, mode_b)
-    t, r = params.transmission, params.reflection
+    if not 0.0 <= transmittance <= 1.0:
+        raise ValueError(f"intensity transmittance must lie in [0, 1], got {transmittance}")
+    t, r = math.sqrt(transmittance), math.sqrt(1.0 - transmittance)
     u = np.eye(n_modes, dtype=complex)
     u[mode_a, mode_a] = t
     u[mode_a, mode_b] = r

@@ -3,8 +3,10 @@
 Exit codes: 0 on success (including a reported-but-infeasible
 optimization), 1 on usage errors, 2 when a validation suite fails.
 
-All numbers are printed with 12 significant digits, so identical
-arguments (and seed) give byte-identical output.
+Identical arguments (and seed) give byte-identical stdout.  sweep,
+figure and optimize print every number with 12 significant digits;
+validate prints its residuals with four (`.3e`) and its wall times on
+stderr.
 """
 
 from __future__ import annotations
@@ -276,6 +278,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         return 2
     for result in results:
         sys.stdout.write(result.summary() + "\n")
+        sys.stderr.write(f"{result.name}: {result.runtime:.1f} s\n")
     if all(result.passed for result in results):
         sys.stdout.write("overall: PASS\n")
         return 0

@@ -9,7 +9,8 @@ phase difference.
 
 `network` alone knows the layout; the Gaussian engine (`build_network`)
 and the Fock oracle (`fock.simulate_network`) both evaluate its element
-list.  Its modes are
+list, passing each element's arguments verbatim to the constructor or
+`apply_*` function of its kind.  Its modes are
 
     0  signal of crystal A
     1  signal of crystal B
@@ -31,8 +32,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bogoliubov import (
-    CrystalParams,
-    FilterParams,
     GaussianMap,
     beam_splitter,
     chain,
@@ -160,10 +159,11 @@ def network(params: SetupParams, cut: str = FULL) -> tuple[int, list[tuple]]:
 
     Elements come in order of traversal as (SQUEEZE, signal, idler, gain,
     pump_phase), (PHASE, mode, phase) and (SPLIT, mode_a, mode_b,
-    transmittance), arguments in the order the `fock.apply_*` functions
-    take them.  `cut="after_crystals"` stops after crystal B (and
-    the optional signal-B attenuator); `cut="full"` appends the balanced
-    splitter in front of the detectors.
+    transmittance), arguments in the order both evaluators take them:
+    the `bogoliubov` constructors after the mode count, the `fock.apply_*`
+    functions after the state.  `cut="after_crystals"` stops after
+    crystal B (and the optional signal-B attenuator); `cut="full"` appends
+    the balanced splitter in front of the detectors.
     """
     if cut not in (AFTER_CRYSTALS, FULL):
         raise ValueError(f"unknown cut {cut!r}")
@@ -183,14 +183,11 @@ def network(params: SetupParams, cut: str = FULL) -> tuple[int, list[tuple]]:
 
 def _gaussian(n: int, element: tuple) -> GaussianMap:
     """Bogoliubov transform of one `network` element on n modes."""
+    # looked up per call, not at import, so rebinding a module attribute
+    # (as a tracer does) reaches the constructors
+    build = {SQUEEZE: two_mode_squeezer, PHASE: phase_shifter, SPLIT: beam_splitter}
     kind, *args = element
-    if kind == SQUEEZE:
-        signal, idler, gain, pump_phase = args
-        return two_mode_squeezer(n, signal, idler, CrystalParams(gain, pump_phase))
-    if kind == PHASE:
-        return phase_shifter(n, *args)
-    mode_a, mode_b, transmittance = args
-    return beam_splitter(n, mode_a, mode_b, FilterParams.from_intensity(transmittance))
+    return build[kind](n, *args)
 
 
 def build_network(params: SetupParams, cut: str = FULL) -> GaussianMap:

@@ -81,28 +81,21 @@ def cross_correlation(moments: MomentSet, mode_i: int, mode_j: int) -> complex:
     return complex(moments.normal[mode_i, mode_j])
 
 
-def number_covariance(moments: MomentSet, mode_i: int, mode_j: int) -> float:
-    """Photon-number covariance Cov(N_i, N_j) of the output state."""
-    _check_modes(moments.n_modes, mode_i)
-    _check_modes(moments.n_modes, mode_j)
-    cov = (
-        abs(moments.anomalous[mode_i, mode_j]) ** 2
-        + abs(moments.normal[mode_i, mode_j]) ** 2
-    )
-    if mode_i == mode_j:
-        cov += number_mean(moments, mode_i)
-    return cov
+def number_covariance(moments: MomentSet) -> NDArray[np.float64]:
+    """Photon-number covariance matrix Cov(N_i, N_j) of the output state, (n, n)."""
+    # np.hypot rounds as abs() of one complex number does; np.abs of a
+    # complex array can differ from both in the last bit
+    a, n = moments.anomalous, moments.normal
+    pairs = np.hypot(a.real, a.imag) ** 2 + np.hypot(n.real, n.imag) ** 2
+    return pairs + np.diag(n.diagonal().real)
 
 
 def difference_statistics(moments: MomentSet, mode_i: int, mode_j: int) -> tuple[float, float]:
     """Mean and variance of the photon-number difference N_i - N_j."""
     _check_modes(moments.n_modes, mode_i, mode_j)
     mean = number_mean(moments, mode_i) - number_mean(moments, mode_j)
-    var = (
-        number_covariance(moments, mode_i, mode_i)
-        + number_covariance(moments, mode_j, mode_j)
-        - 2.0 * number_covariance(moments, mode_i, mode_j)
-    )
+    cov = number_covariance(moments)
+    var = float(cov[mode_i, mode_i] + cov[mode_j, mode_j] - 2.0 * cov[mode_i, mode_j])
     return mean, var
 
 

@@ -50,12 +50,13 @@ class SuiteResult:
         return self.worst_residual <= self.tolerance
 
     def summary(self) -> str:
+        """One line that depends only on the suite's inputs, not on the wall
+        time, so the same seed prints the same bytes."""
         skipped = f" ({self.skipped} skipped as uncertifiable)" if self.skipped else ""
         verdict = "PASS" if self.passed else "FAIL"
         return (
             f"{self.name}: {self.samples} samples{skipped}, worst residual "
-            f"{self.worst_residual:.3e} (tolerance {self.tolerance:.0e}), "
-            f"{self.runtime:.1f} s: {verdict}"
+            f"{self.worst_residual:.3e} (tolerance {self.tolerance:.0e}): {verdict}"
         )
 
 
@@ -122,8 +123,7 @@ def oracle_residual(params: model.SetupParams, cutoff: int) -> float | None:
     except fock.LeakageError:
         return None
     ms = model.engine_moments(params)
-    modes = range(ms.n_modes)
-    wick = np.array([[moments.number_covariance(ms, i, j) for j in modes] for i in modes])
+    wick = moments.number_covariance(ms)
     residuals = (normal - ms.normal, anomalous - ms.anomalous, covariance - wick)
     return float(max(np.abs(residual).max() for residual in residuals))
 

@@ -1,12 +1,13 @@
 """CLI behavior: schemas, determinism, exit codes, config handling."""
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from inducoh import model
+from inducoh import model, validation
 from inducoh.cli import main
 
 SWEEP_HEADER = "t,n1_det,n2_det,visibility,gamma12,n_minus_mean,n_minus_var,snr"
@@ -322,6 +323,19 @@ def test_validate_passes_at_default_cutoff(capsys):
     assert "closed-form vs engine" in out
     assert "oracle vs engine" in out
     assert "overall: PASS" in out
+
+
+def test_validate_stdout_is_identical_across_runs(capsys, monkeypatch):
+    """Wall times go to stderr: two runs that take different times print the
+    same stdout."""
+    clock = (float(k * k) for k in itertools.count())
+    monkeypatch.setattr(validation.time, "perf_counter", lambda: next(clock))
+    first = run(capsys, "validate", "--samples", "3")
+    second = run(capsys, "validate", "--samples", "3")
+    assert first[0] == second[0] == 0
+    assert first[1] == second[1]
+    assert first[2] != second[2]
+    assert " s\n" in first[2]
 
 
 def test_validate_fails_with_leakage_diagnostic_at_tiny_cutoff(capsys):

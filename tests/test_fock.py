@@ -1,6 +1,8 @@
 """Truncated Fock-space simulator: generator-level checks and leakage policy."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,3 +274,19 @@ def test_mode_index_validation():
         fock.apply_phase(state, 2, 0.5)
     with pytest.raises(ValueError):
         fock.apply_beam_splitter(state, 0, 0, 0.5)
+
+
+def test_oracle_imports_nothing_from_the_engine():
+    """The oracle checks the engine only while it shares none of its code:
+    no import of `bogoliubov` or `moments`, in any form."""
+    tree = ast.parse(Path(fock.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.update(alias.name.split("."))
+    assert "model" in imported
+    assert not imported & {"bogoliubov", "moments"}
