@@ -79,6 +79,11 @@ def _check_modes(n_modes: int, *modes: int) -> None:
         raise ValueError(f"mode indices must be distinct, got {modes}")
 
 
+def _check_phase(phase: float) -> None:
+    if not math.isfinite(phase):
+        raise ValueError(f"phase must be finite, got {phase}")
+
+
 def identity(n_modes: int) -> GaussianMap:
     """The do-nothing transform: U = 1, V = 0."""
     _check_modes(n_modes)
@@ -97,6 +102,7 @@ def two_mode_squeezer(
     _check_modes(n_modes, signal, idler)
     if gain < 0.0 or not math.isfinite(gain):
         raise ValueError(f"crystal gain must be finite and >= 0, got {gain}")
+    _check_phase(pump_phase)
     c = math.cosh(gain)
     s = math.sinh(gain) * complex(math.cos(pump_phase), math.sin(pump_phase))
     u = np.eye(n_modes, dtype=complex)
@@ -126,6 +132,7 @@ def beam_splitter(n_modes: int, mode_a: int, mode_b: int, transmittance: float) 
 def phase_shifter(n_modes: int, mode: int, phase: float) -> GaussianMap:
     """Single-mode phase shift a' = exp(i*phi) a."""
     _check_modes(n_modes, mode)
+    _check_phase(phase)
     u = np.eye(n_modes, dtype=complex)
     u[mode, mode] = complex(math.cos(phase), math.sin(phase))
     return GaussianMap(u, np.zeros((n_modes, n_modes)))

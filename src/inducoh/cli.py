@@ -262,6 +262,11 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_suite(result: validation.SuiteResult) -> None:
+    sys.stdout.write(result.summary() + "\n")
+    sys.stderr.write(f"{result.name}: {result.runtime:.1f} s\n")
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise _UsageError(f"--samples must be >= 1, got {args.samples}")
@@ -269,16 +274,18 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         raise _UsageError(f"--cutoff must be >= 1, got {args.cutoff}")
     if args.r_max <= 0.0:
         raise _UsageError(f"--r-max must be > 0, got {args.r_max}")
+    # each suite is printed as soon as it is done, so an oracle refusal
+    # still leaves the closed-form result on stdout
+    results = [validation.closed_form_suite(seed=args.seed)]
+    _print_suite(results[0])
     try:
-        results = validation.run_suites(
-            samples=args.samples, seed=args.seed, cutoff=args.cutoff, r_max=args.r_max
+        results.append(
+            validation.oracle_suite(args.samples, args.seed, args.cutoff, args.r_max)
         )
     except LeakageError as exc:
         sys.stdout.write(f"oracle vs engine: FAIL: {exc}\n")
         return 2
-    for result in results:
-        sys.stdout.write(result.summary() + "\n")
-        sys.stderr.write(f"{result.name}: {result.runtime:.1f} s\n")
+    _print_suite(results[1])
     if all(result.passed for result in results):
         sys.stdout.write("overall: PASS\n")
         return 0

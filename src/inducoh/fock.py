@@ -19,6 +19,12 @@ formula) refuse to ignore.
 
 The interferometer is `model.network`, the element list the Gaussian
 engine also evaluates; `simulate_network` applies it element by element.
+
+No state is copied that need not be: `FockState` keeps its amplitudes
+C-contiguous and read-only, and takes an array that already is both (and
+complex128) as it is, copying anything else.  The `apply_*` functions
+freeze the fresh arrays they build, so a draw never copies a state to
+store it; whoever freezes an array vouches that it will not change.
 """
 
 from __future__ import annotations
@@ -72,10 +78,16 @@ class FockState:
     peak_top_population: float = 0.0
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=np.complex128)
+        amps = self.amplitudes
+        if not (
+            isinstance(amps, np.ndarray)
+            and amps.dtype == np.complex128
+            and amps.flags.c_contiguous
+            and not amps.flags.writeable
+        ):
+            amps = _frozen(np.array(amps, dtype=np.complex128, order="C"))
         if amps.ndim < 1 or any(size != self.cutoff + 1 for size in amps.shape):
             raise ValueError("amplitudes must have shape (cutoff+1,) * n_modes")
-        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -98,7 +110,7 @@ def vacuum(n_modes: int, cutoff: int) -> FockState:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     amps = np.zeros((cutoff + 1,) * n_modes, dtype=np.complex128)
     amps[(0,) * n_modes] = 1.0
-    return FockState(cutoff, amps)
+    return FockState(cutoff, _frozen(amps))
 
 
 def basis_state(n_modes: int, cutoff: int, occupations) -> FockState:
@@ -110,37 +122,57 @@ def basis_state(n_modes: int, cutoff: int, occupations) -> FockState:
         raise ValueError(f"occupations must lie in [0, {cutoff}], got {occ}")
     amps = np.zeros((cutoff + 1,) * n_modes, dtype=np.complex128)
     amps[occ] = 1.0
-    return FockState(cutoff, amps)
+    return FockState(cutoff, _frozen(amps))
 
 
-def _ladder(psi: np.ndarray, axis: int, create: bool = False) -> np.ndarray:
+def _frozen(amplitudes: np.ndarray) -> np.ndarray:
+    """`amplitudes`, made read-only so that `FockState` stores it uncopied."""
+    amplitudes.setflags(write=False)
+    return amplitudes
+
+
+def _ladder(
+    psi: np.ndarray, axis: int, create: bool = False, out: np.ndarray | None = None
+) -> np.ndarray:
     """Apply the annihilation operator of one mode, or with `create` the
-    creation operator (truncated at the cutoff)."""
-    moved = np.moveaxis(psi, axis, 0)
-    out = np.zeros_like(moved)
+    creation operator (truncated at the cutoff), writing into `out` (a
+    fresh array by default): each weighted level slice goes straight to its
+    shifted place, and only the one edge slice left over is zeroed."""
+    if out is None:
+        out = np.empty_like(psi)
     d = psi.shape[axis]
-    weights = np.sqrt(np.arange(1.0, d)).reshape((-1,) + (1,) * (moved.ndim - 1))
+    weights = np.sqrt(np.arange(1.0, d)).reshape((-1,) + (1,) * (psi.ndim - axis - 1))
+    lead = (slice(None),) * axis
+    low, high = lead + (slice(None, -1),), lead + (slice(1, None),)
     if create:
-        out[1:] = weights * moved[:-1]
+        np.multiply(weights, psi[low], out=out[high])
+        out[lead + (0,)] = 0.0
     else:
-        out[:-1] = weights * moved[1:]
-    return np.moveaxis(out, 0, axis)
+        np.multiply(weights, psi[high], out=out[low])
+        out[lead + (-1,)] = 0.0
+    return out
 
 
-def _level_population(psi: np.ndarray, axis: int, levels: slice) -> float:
-    probs = np.abs(np.moveaxis(psi, axis, 0)[levels]) ** 2
-    return float(probs.sum())
+def _level_population(psi: np.ndarray, axis: int, levels: list[int]) -> float:
+    """Population of the given levels of one mode: |psi|^2 of just those slices."""
+    return float((np.abs(psi.take(levels, axis)) ** 2).sum())
 
 
 def _top_population(psi: np.ndarray) -> float:
-    return max(_level_population(psi, axis, slice(-1, None)) for axis in range(psi.ndim))
+    top = psi.shape[0] - 1
+    return max(_level_population(psi, axis, [top]) for axis in range(psi.ndim))
 
 
 @functools.lru_cache(maxsize=16)
 def _pair_eigensystem(cutoff: int, kind: str) -> tuple:
-    """(rows, w, V) per block, i K = V diag(w) V^dag, of K built from ladder
-    matrix elements on the pair index n_a (cutoff+1) + n_b; each conserved
-    value picks out an evenly strided set of rows."""
+    """(blocks, w, v, v_dag) with i K = V diag(w) V^dag on each block of K,
+    K built from ladder matrix elements on the pair index n_a (cutoff+1) + n_b.
+
+    Each conserved value picks out an evenly strided set of rows; `blocks`
+    holds that slice and its length per block.  The eigensystems are
+    stacked, zero-padded to (cutoff+1) levels, so that one batched product
+    builds every block's unitary: the padding only adds zero terms after
+    the real ones."""
     d = cutoff + 1
     lower = np.diag(np.sqrt(np.arange(1.0, d)), k=1)
     levels = np.arange(d)
@@ -150,12 +182,19 @@ def _pair_eigensystem(cutoff: int, kind: str) -> tuple:
     else:
         generator = np.kron(lower.T, lower) - np.kron(lower, lower.T)
         conserved, stride = np.add.outer(levels, levels).ravel(), d - 1
+    values = range(conserved.min(), conserved.max() + 1)
+    w = np.zeros((len(values), d))
+    v = np.zeros((len(values), d, d), dtype=np.complex128)
     blocks = []
-    for value in range(conserved.min(), conserved.max() + 1):
+    for block, value in enumerate(values):
         index = np.flatnonzero(conserved == value)
-        rows = slice(index[0], index[-1] + 1, stride)
-        blocks.append((rows, *np.linalg.eigh(1j * generator[rows, rows])))
-    return tuple(blocks)
+        rows, size = slice(index[0], index[-1] + 1, stride), index.size
+        w[block, :size], v[block, :size, :size] = np.linalg.eigh(1j * generator[rows, rows])
+        blocks.append((rows, size))
+    v_dag = v.conj().transpose(0, 2, 1)
+    for cached in (w, v, v_dag):
+        cached.setflags(write=False)
+    return tuple(blocks), w, v, v_dag
 
 
 def _apply_pair(
@@ -163,7 +202,10 @@ def _apply_pair(
 ) -> np.ndarray:
     """exp(angle K) on modes (a, b), conjugated by e^{i phase n_a}; angle 0 returns psi.
 
-    Each block of exp(angle K) is real, as K is, so it acts on the real and
+    One C-order pass brings modes (a, b) to the front (applying e^{-i phase n_a}),
+    the block unitaries act there in place, and one pass takes the result
+    back to a fresh C-contiguous array (applying e^{i phase n_a}).  Each
+    block of exp(angle K) is real, as K is, so it acts on the real and
     imaginary parts in one matmul.  Blocks keep the cache and matmuls small:
     a dense (cutoff+1)^2 unitary added 2.5 MB to the peak memory at cutoff 12.
     """
@@ -171,24 +213,36 @@ def _apply_pair(
         return psi
     d = psi.shape[a]
     moved = np.moveaxis(psi, (a, b), (0, 1))
-    rotor = np.exp(1j * phase * np.arange(d))[:, None]
-    work = (moved.reshape(d, -1) * rotor.conj()).reshape(d * d, -1)
-    parts = work.view(np.float64)
-    for rows, w, v in _pair_eigensystem(d - 1, kind):
-        parts[rows] = ((v * np.exp(-1j * angle * w)) @ v.conj().T).real @ parts[rows]
-    out = work.reshape(d, -1)
-    out *= rotor
-    return np.moveaxis(out.reshape(moved.shape), (0, 1), (a, b))
+    work = np.empty(moved.shape, dtype=np.complex128)
+    if phase:
+        rotor = np.exp(1j * phase * np.arange(d))
+        np.multiply(moved, rotor.conj().reshape((d,) + (1,) * (psi.ndim - 1)), out=work)
+    else:
+        work[...] = moved
+    parts = work.reshape(d * d, -1).view(np.float64)
+    blocks, w, v, v_dag = _pair_eigensystem(d - 1, kind)
+    units = ((v * np.exp(-1j * angle * w)[:, None, :]) @ v_dag).real
+    for block, (rows, size) in enumerate(blocks):
+        parts[rows] = units[block, :size, :size] @ parts[rows]
+    out = np.empty(psi.shape, dtype=np.complex128)
+    back = np.moveaxis(work, (0, 1), (a, b))
+    if phase:
+        np.multiply(back, rotor.reshape((d,) + (1,) * (psi.ndim - a - 1)), out=out)
+    else:
+        out[...] = back
+    return out
 
 
 def apply_phase(state: FockState, mode: int, phase: float) -> FockState:
     """Phase shifter exp(i phase N) on one mode; exact and leak-free."""
     _check_state_modes(state, mode)
+    _check_phase(phase)
     d = state.cutoff + 1
     shape = [1] * state.n_modes
     shape[mode] = d
     factors = np.exp(1j * phase * np.arange(d)).reshape(shape)
-    return FockState(state.cutoff, state.amplitudes * factors, state.peak_top_population)
+    psi = _frozen(state.amplitudes * factors)
+    return FockState(state.cutoff, psi, state.peak_top_population)
 
 
 def apply_two_mode_squeezer(
@@ -203,7 +257,8 @@ def apply_two_mode_squeezer(
     _check_state_modes(state, signal, idler)
     if gain < 0.0 or not math.isfinite(gain):
         raise ValueError(f"gain must be finite and >= 0, got {gain}")
-    psi = _apply_pair(state.amplitudes, signal, idler, _SQUEEZER, gain, pump_phase)
+    _check_phase(pump_phase)
+    psi = _frozen(_apply_pair(state.amplitudes, signal, idler, _SQUEEZER, gain, pump_phase))
     new_state = FockState(
         state.cutoff, psi, max(state.peak_top_population, _top_population(psi))
     )
@@ -226,17 +281,16 @@ def apply_beam_splitter(state: FockState, mode_a: int, mode_b: int, transmittanc
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError(f"transmittance must lie in [0, 1], got {transmittance}")
     kappa = math.atan2(math.sqrt(1.0 - transmittance), math.sqrt(transmittance))
-    psi = _apply_pair(state.amplitudes, mode_a, mode_b, _SPLITTER, kappa)
+    psi = _frozen(_apply_pair(state.amplitudes, mode_a, mode_b, _SPLITTER, kappa))
     return FockState(state.cutoff, psi, max(state.peak_top_population, _top_population(psi)))
 
 
 def leakage_report(state: FockState) -> LeakageReport:
     """Per-mode population in the top two levels, plus the norm deficit."""
     psi = state.amplitudes
-    top_two = np.array(
-        [_level_population(psi, axis, slice(-2, None)) for axis in range(psi.ndim)]
-    )
-    return LeakageReport(top_two, abs(1.0 - state.norm))
+    top_two = [state.cutoff - 1, state.cutoff]
+    populations = [_level_population(psi, axis, top_two) for axis in range(psi.ndim)]
+    return LeakageReport(np.array(populations), abs(1.0 - state.norm))
 
 
 def cross_correlation(state: FockState, mode_a: int, mode_b: int) -> complex:
@@ -257,16 +311,27 @@ def moment_matrices(state: FockState) -> tuple[NDArray[np.complex128], NDArray[n
     """All second moments: normal <a_i^dag a_j> and anomalous <a_i a_j>, each (n, n).
 
     Taken as <a_i psi|a_j psi> and <a_i^dag psi|a_j psi> from 2n ladder
-    applications; inner products with one raised state at a time, not
-    stacked matrix products, keep at most n + 2 state-sized arrays alive.
-    Raises LeakageError for a state flagged unreliable.
+    applications: the n lowered states share one stacked buffer, and the n
+    raised ones take turns in one more.  The normal matrix is Hermitian, so
+    its lower triangle is the conjugate of the upper one.  Raises
+    LeakageError for a state flagged unreliable.
     """
     _check_reliable(state)
     psi = state.amplitudes
-    lowered = [_ladder(psi, i) for i in range(state.n_modes)]
-    raised = (_ladder(psi, i, create=True) for i in range(state.n_modes))
-    normal = np.array([[np.vdot(bra, ket) for ket in lowered] for bra in lowered])
-    anomalous = np.array([[np.vdot(bra, ket) for ket in lowered] for bra in raised])
+    n = state.n_modes
+    lowered = np.empty((n,) + psi.shape, dtype=np.complex128)
+    for i in range(n):
+        _ladder(psi, i, out=lowered[i])
+    raised = np.empty_like(psi)
+    normal = np.empty((n, n), dtype=np.complex128)
+    anomalous = np.empty((n, n), dtype=np.complex128)
+    for i in range(n):
+        for j in range(i, n):
+            normal[i, j] = np.vdot(lowered[i], lowered[j])
+        normal[i + 1 :, i] = normal[i, i + 1 :].conj()
+        _ladder(psi, i, create=True, out=raised)
+        for j in range(n):
+            anomalous[i, j] = np.vdot(raised, lowered[j])
     return normal, anomalous
 
 
@@ -317,6 +382,11 @@ def _check_state_modes(state: FockState, *modes: int) -> None:
             raise ValueError(f"mode index {m} out of range for {state.n_modes} modes")
     if len(set(modes)) != len(modes):
         raise ValueError(f"mode indices must be distinct, got {modes}")
+
+
+def _check_phase(phase: float) -> None:
+    if not math.isfinite(phase):
+        raise ValueError(f"phase must be finite, got {phase}")
 
 
 def _check_reliable(state: FockState) -> None:

@@ -179,16 +179,3 @@ def oracle_suite(
     return SuiteResult(
         "oracle vs engine", certified, worst, ORACLE_TOLERANCE, time.perf_counter() - start, skipped
     )
-
-
-def run_suites(
-    samples: int = 50,
-    seed: int = DEFAULT_SEED,
-    cutoff: int = DEFAULT_CUTOFF,
-    r_max: float = DEFAULT_R_MAX,
-) -> list[SuiteResult]:
-    """Both suites, in the order they are reported by the CLI."""
-    return [
-        closed_form_suite(seed=seed),
-        oracle_suite(samples, seed, cutoff, r_max),
-    ]

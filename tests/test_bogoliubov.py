@@ -7,7 +7,7 @@ import pytest
 
 from inducoh import bogoliubov as bg
 from inducoh import fock
-from inducoh.model import SPLIT, SQUEEZE
+from inducoh.model import PHASE, SPLIT, SQUEEZE
 from inducoh.moments import moments_from_map, total_photons
 
 # largest gain the package promises to handle: sinh^2(r) = 10
@@ -43,19 +43,50 @@ def test_filter_params_intensity_roundtrip():
     assert t**2 + r**2 == pytest.approx(1.0, abs=1e-12)
 
 
+# each kind of refused argument, as (engine call, oracle call) on the offending value
+_REFUSALS = {
+    SQUEEZE: (
+        lambda gain: bg.two_mode_squeezer(2, 0, 1, gain),
+        lambda gain: fock.apply_two_mode_squeezer(fock.vacuum(2, 4), 0, 1, gain),
+    ),
+    SPLIT: (
+        lambda t: bg.beam_splitter(2, 0, 1, t),
+        lambda t: fock.apply_beam_splitter(fock.vacuum(2, 4), 0, 1, t),
+    ),
+    PHASE: (
+        lambda phase: bg.phase_shifter(2, 0, phase),
+        lambda phase: fock.apply_phase(fock.vacuum(2, 4), 0, phase),
+    ),
+    "pump_phase": (
+        lambda phase: bg.two_mode_squeezer(2, 0, 1, 0.1, phase),
+        lambda phase: fock.apply_two_mode_squeezer(fock.vacuum(2, 4), 0, 1, 0.1, phase),
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "kind, value",
-    [(SQUEEZE, -0.1), (SQUEEZE, math.inf), (SQUEEZE, math.nan), (SPLIT, -0.1), (SPLIT, 1.5)],
+    [
+        (SQUEEZE, -0.1),
+        (SQUEEZE, math.inf),
+        (SQUEEZE, math.nan),
+        (SPLIT, -0.1),
+        (SPLIT, 1.5),
+        (PHASE, math.inf),
+        (PHASE, math.nan),
+        ("pump_phase", math.inf),
+        ("pump_phase", math.nan),
+    ],
 )
 def test_engine_and_oracle_refuse_the_same_elements(kind, value):
-    """A gain below 0 or not finite, or a transmittance outside [0, 1], is
-    refused by the engine's constructor and the oracle's `apply_*` alike."""
-    engine = {SQUEEZE: bg.two_mode_squeezer, SPLIT: bg.beam_splitter}[kind]
-    oracle = {SQUEEZE: fock.apply_two_mode_squeezer, SPLIT: fock.apply_beam_splitter}[kind]
+    """A gain below 0 or not finite, a transmittance outside [0, 1], or a
+    phase or pump phase that is not finite is refused by the engine's
+    constructor and the oracle's `apply_*` alike, not turned into NaN."""
+    engine, oracle = _REFUSALS[kind]
     with pytest.raises(ValueError):
-        engine(2, 0, 1, value)
+        engine(value)
     with pytest.raises(ValueError):
-        oracle(fock.vacuum(2, 4), 0, 1, value)
+        oracle(value)
 
 
 def test_identity_has_zero_residuals():

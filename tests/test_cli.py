@@ -339,6 +339,13 @@ def test_validate_stdout_is_identical_across_runs(capsys, monkeypatch):
 
 
 def test_validate_fails_with_leakage_diagnostic_at_tiny_cutoff(capsys):
+    """The oracle's refusal comes after the closed-form result, which still
+    gets printed."""
     code, out, _ = run(capsys, "validate", "--samples", "3", "--cutoff", "3")
     assert code == 2
-    assert "cutoff" in out
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("closed-form vs engine: ")
+    assert lines[0].endswith(": PASS")
+    assert lines[1].startswith("oracle vs engine: FAIL: ")
+    assert "cutoff" in lines[1]

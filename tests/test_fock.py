@@ -154,6 +154,89 @@ def test_pair_unitary_matches_dense_exponential(kind, angle, phase):
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
+def _full_support_state(rng, n_modes, cutoff):
+    """Random normalised amplitudes on every occupation state, top levels included."""
+    shape = (cutoff + 1,) * n_modes
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return amps / np.linalg.norm(amps)
+
+
+def _kron_lowering(d, n_modes, mode):
+    """Annihilation operator of one mode on the flattened (C-order) state space."""
+    lower = np.diag(np.sqrt(np.arange(1.0, d)), k=1)
+    op = np.ones((1, 1))
+    for m in range(n_modes):
+        op = np.kron(op, lower if m == mode else np.eye(d))
+    return op
+
+
+@pytest.mark.parametrize("create", [False, True])
+def test_ladder_matches_kronecker_operators(create):
+    """Every axis, on a state populating every level; an output buffer full of
+    NaN checks that each entry is written, the edge slice included."""
+    rng = np.random.default_rng(21)
+    d, n = 5, 3
+    psi = _full_support_state(rng, n, d - 1)
+    for mode in range(n):
+        op = _kron_lowering(d, n, mode)
+        expected = ((op.T if create else op) @ psi.ravel()).reshape(psi.shape)
+        got = fock._ladder(psi, mode, create)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+        out = np.full_like(psi, np.nan)
+        assert fock._ladder(psi, mode, create, out=out) is out
+        np.testing.assert_array_equal(out, got)
+
+
+def test_moment_matrices_match_operator_reference():
+    """<a_i^dag a_j> and <a_i a_j> as psi^dag (operator product) psi on a
+    full-support state; the normal matrix comes out exactly Hermitian."""
+    rng = np.random.default_rng(22)
+    d, n = 5, 3
+    psi = _full_support_state(rng, n, d - 1)
+    flat = psi.ravel()
+    ops = [_kron_lowering(d, n, mode) for mode in range(n)]
+    normal, anomalous = fock.moment_matrices(fock.FockState(d - 1, psi))
+    expected_normal = [[flat.conj() @ (a.T @ b) @ flat for b in ops] for a in ops]
+    expected_anomalous = [[flat.conj() @ (a @ b) @ flat for b in ops] for a in ops]
+    np.testing.assert_allclose(normal, expected_normal, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(anomalous, expected_anomalous, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(normal, normal.conj().T)
+    assert np.abs(anomalous - anomalous.T).max() <= 1e-15
+
+
+def test_state_copies_what_it_cannot_trust():
+    """A writable or non-C-contiguous array is copied into a frozen C-contiguous
+    one; an array that already is frozen, C-contiguous and complex128 is kept."""
+    amps = np.zeros((3, 3), dtype=np.complex128)
+    amps[1, 0] = 1.0
+    state = fock.FockState(2, amps)
+    amps[1, 0] = 0.5
+    assert state.amplitudes[1, 0] == 1.0
+    transposed = fock.FockState(2, state.amplitudes.T)
+    assert transposed.amplitudes.flags.c_contiguous
+    assert transposed.amplitudes[0, 1] == 1.0
+    for kept in (state, transposed):
+        assert not kept.amplitudes.flags.writeable
+        assert fock.FockState(2, kept.amplitudes).amplitudes is kept.amplitudes
+
+
+def test_apply_outputs_are_frozen_and_c_contiguous():
+    """The `apply_*` functions hand over fresh arrays that `FockState` stores
+    uncopied, whatever the mode order."""
+    rng = np.random.default_rng(23)
+    state = _low_occupation_state(rng, 3, 10)
+    outputs = [
+        fock.apply_phase(state, 1, 0.4),
+        fock.apply_two_mode_squeezer(state, 2, 0, 0.05),
+        fock.apply_two_mode_squeezer(state, 1, 2, 0.05, 1.3),
+        fock.apply_beam_splitter(state, 2, 1, 0.3),
+        fock.simulate_network(model.SetupParams(va=0.01, vb=0.02, t=0.5, t2=0.5), cutoff=4),
+    ]
+    for out in outputs:
+        assert out.amplitudes.flags.c_contiguous
+        assert not out.amplitudes.flags.writeable
+
+
 def test_pairwise_emission_conserves_number_difference():
     """The squeezer generator commutes with n_a - n_b, so signal and idler
     counts of a single crystal agree to machine precision."""
