@@ -1,21 +1,39 @@
 """Truncated Fock-space oracle for the interferometer.
 
-Everything here works directly on a state vector over occupation-number
+Everything here works directly on amplitudes over occupation-number
 states with a per-mode cutoff, using ladder-operator matrix elements
 (a |n> = sqrt(n) |n-1>).  None of the Bogoliubov/Gaussian machinery is
 reused, so agreement between the two is a genuine cross-check.
 
+A state lives in one charge `Sector`.  Each mode i carries an integer
+charge c_i, and the sector holds the occupations (n_0, ..., n_{k-1}), each
+level in [0, cutoff], whose total charge sum_i c_i n_i has one value.  Its
+occupation table lists them in lexicographic order, and the state's
+amplitudes are one flat vector over that table.  Every element must
+conserve the charge, and the `apply_*` functions refuse (ValueError) one
+that does not: a squeezer needs c_a + c_b = 0, a splitter c_a = c_b.  With
+all charges 0 the sector is the full (cutoff+1)^k space, listed in C
+order, so a generic state is the zero-charge case of the same code.
+`simulate_network` derives the charges from the element list: a
+squeezer's signal gets +1 and its idler -1, and a splitter joins two modes
+of the same charge.  For `model.network` that conserves
+Q = (n_0 + n_1 + n_4) - (n_2 + n_3), and the vacuum's Q = 0 sector holds
+1,469 of the 28,561 amplitudes of 4 modes at cutoff 12.  The sector is
+enumerated without the dense grid; only `FockState.to_dense` builds it.
+
 Each two-mode element is exp(s K), K = a^dag b^dag - a b for a squeezer of
 gain s = r and K = a^dag b - b^dag a for a splitter of angle s = kappa,
-truncated to the (cutoff+1)^2 pair space.  K is real, antisymmetric and
-block diagonal in the conserved n_a - n_b (resp. n_a + n_b), so it is
-exponentiated exactly from cached per-block eigendecompositions; a pump
-phase theta enters as e^{i theta n_a} exp(r K) e^{-i theta n_a}.  The
-truncated evolution is exactly unitary, so truncation error shows up as
-population near the cutoff, which `leakage_report` exposes and
-`moment_matrices` (second moments from ladder matrix elements) and
-`number_moments` (number means and covariances from |psi|^2, no Wick
-formula) refuse to ignore.
+truncated at the cutoff.  K is real, antisymmetric and block diagonal in
+the conserved n_a - n_b (resp. n_a + n_b), so it is exponentiated exactly
+from cached per-block eigendecompositions; a pump phase theta enters as
+e^{i theta n_a} exp(r K) e^{-i theta n_a}.  A cached gather map lays the
+sector out as (conserved value, other modes, level of mode a) blocks, so
+one batched matmul applies the element.  The truncated evolution is
+exactly unitary, so truncation error shows up as population near the
+cutoff, which `leakage_report` exposes and `moment_matrices` (second
+moments as weighted sums over cached "hop" maps between occupations) and
+`number_moments` (number means and covariances from |psi|^2 and the
+occupation table, no Wick formula) refuse to ignore.
 
 The interferometer is `model.network`, the element list the Gaussian
 engine also evaluates; `simulate_network` applies it element by element.
@@ -65,15 +83,41 @@ class LeakageReport:
 
 
 @dataclass(frozen=True)
+class Sector:
+    """The occupations of len(charges) modes, each level in [0, cutoff], whose
+    total charge sum_i charges[i] n_i equals `charge`.  All charges 0 (and
+    charge 0) is the full space."""
+
+    cutoff: int
+    charges: tuple[int, ...]
+    charge: int = 0
+
+    def __post_init__(self) -> None:
+        if not self.charges:
+            raise ValueError("need at least one mode")
+        if self.cutoff < 1:
+            raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
+        object.__setattr__(self, "charges", tuple(int(c) for c in self.charges))
+
+    @property
+    def n_modes(self) -> int:
+        return len(self.charges)
+
+    @property
+    def size(self) -> int:
+        return _levels(self).shape[1]
+
+
+@dataclass(frozen=True)
 class FockState:
-    """State vector on (cutoff+1)^n_modes occupation states.
+    """Amplitudes over the occupation table of one charge `Sector`.
 
     `peak_top_population` tracks the largest single-mode top-level
     population seen at any point of the state's history; once it
     exceeds UNRELIABLE_TOP_POPULATION the state is flagged unreliable.
     """
 
-    cutoff: int
+    sector: Sector
     amplitudes: NDArray[np.complex128]
     peak_top_population: float = 0.0
 
@@ -86,13 +130,17 @@ class FockState:
             and not amps.flags.writeable
         ):
             amps = _frozen(np.array(amps, dtype=np.complex128, order="C"))
-        if amps.ndim < 1 or any(size != self.cutoff + 1 for size in amps.shape):
-            raise ValueError("amplitudes must have shape (cutoff+1,) * n_modes")
+        if amps.shape != (self.sector.size,):
+            raise ValueError("amplitudes must be a flat vector over the sector's occupations")
         object.__setattr__(self, "amplitudes", amps)
 
     @property
+    def cutoff(self) -> int:
+        return self.sector.cutoff
+
+    @property
     def n_modes(self) -> int:
-        return self.amplitudes.ndim
+        return self.sector.n_modes
 
     @property
     def norm(self) -> float:
@@ -102,27 +150,38 @@ class FockState:
     def unreliable(self) -> bool:
         return self.peak_top_population > UNRELIABLE_TOP_POPULATION
 
-
-def vacuum(n_modes: int, cutoff: int) -> FockState:
-    if n_modes < 1:
-        raise ValueError(f"need at least one mode, got {n_modes}")
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    amps = np.zeros((cutoff + 1,) * n_modes, dtype=np.complex128)
-    amps[(0,) * n_modes] = 1.0
-    return FockState(cutoff, _frozen(amps))
+    def to_dense(self) -> NDArray[np.complex128]:
+        """The amplitudes on the full (cutoff+1,) * n_modes grid, zero outside
+        the sector.  Meant for tests and small cutoffs: it allocates the dense
+        grid that the oracle itself never builds."""
+        dense = np.zeros((self.cutoff + 1,) * self.n_modes, dtype=np.complex128)
+        dense[tuple(_levels(self.sector))] = self.amplitudes
+        return dense
 
 
-def basis_state(n_modes: int, cutoff: int, occupations) -> FockState:
-    """A single occupation-number state |n_0, ..., n_{k-1}>."""
+def vacuum(n_modes: int, cutoff: int, charges: tuple[int, ...] | None = None) -> FockState:
+    """|0, ..., 0>, in the charge-0 sector of the given per-mode charges
+    (all 0, the full space, by default)."""
+    return basis_state(n_modes, cutoff, (0,) * n_modes, charges)
+
+
+def basis_state(
+    n_modes: int, cutoff: int, occupations, charges: tuple[int, ...] | None = None
+) -> FockState:
+    """A single occupation-number state |n_0, ..., n_{k-1}>, in the sector of
+    its own charge under the given per-mode charges (all 0 by default)."""
     occ = tuple(int(n) for n in occupations)
     if len(occ) != n_modes:
         raise ValueError(f"need {n_modes} occupations, got {len(occ)}")
     if any(n < 0 or n > cutoff for n in occ):
         raise ValueError(f"occupations must lie in [0, {cutoff}], got {occ}")
-    amps = np.zeros((cutoff + 1,) * n_modes, dtype=np.complex128)
-    amps[occ] = 1.0
-    return FockState(cutoff, _frozen(amps))
+    charges = (0,) * n_modes if charges is None else tuple(charges)
+    if len(charges) != n_modes:
+        raise ValueError(f"need {n_modes} charges, got {len(charges)}")
+    sector = Sector(cutoff, charges, sum(c * n for c, n in zip(charges, occ)))
+    amps = np.zeros(sector.size, dtype=np.complex128)
+    amps[_index(sector, np.array(occ))] = 1.0
+    return FockState(sector, _frozen(amps))
 
 
 def _frozen(amplitudes: np.ndarray) -> np.ndarray:
@@ -131,118 +190,201 @@ def _frozen(amplitudes: np.ndarray) -> np.ndarray:
     return amplitudes
 
 
-def _ladder(
-    psi: np.ndarray, axis: int, create: bool = False, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Apply the annihilation operator of one mode, or with `create` the
-    creation operator (truncated at the cutoff), writing into `out` (a
-    fresh array by default): each weighted level slice goes straight to its
-    shifted place, and only the one edge slice left over is zeroed."""
-    if out is None:
-        out = np.empty_like(psi)
-    d = psi.shape[axis]
-    weights = np.sqrt(np.arange(1.0, d)).reshape((-1,) + (1,) * (psi.ndim - axis - 1))
-    lead = (slice(None),) * axis
-    low, high = lead + (slice(None, -1),), lead + (slice(1, None),)
-    if create:
-        np.multiply(weights, psi[low], out=out[high])
-        out[lead + (0,)] = 0.0
-    else:
-        np.multiply(weights, psi[high], out=out[low])
-        out[lead + (-1,)] = 0.0
-    return out
+@functools.lru_cache(maxsize=8)
+def _levels(sector: Sector) -> NDArray[np.int64]:
+    """The sector's occupation table, (n_modes, size): column k is the k-th
+    occupation in lexicographic order, row i the levels of mode i.
+
+    Built one mode at a time: each partial occupation is extended only by
+    the levels from which the remaining modes can still reach the sector's
+    charge, so no occupation outside the sector, and no dense grid, is made.
+    """
+    cutoff, charges = sector.cutoff, sector.charges
+    table = np.zeros((0, 1), dtype=np.int64)
+    partial = np.zeros(1, dtype=np.int64)
+    for mode, c in enumerate(charges):
+        rest = charges[mode + 1 :]
+        low = cutoff * sum(min(r, 0) for r in rest)
+        high = cutoff * sum(max(r, 0) for r in rest)
+        # the remaining modes add a charge in [low, high], so c n must lie in [least, most]
+        least, most = sector.charge - partial - high, sector.charge - partial - low
+        if c > 0:
+            first, last = -(-least // c), most // c
+        elif c < 0:
+            first, last = -(-most // c), least // c
+        else:
+            first, last = np.zeros_like(partial), np.where((least <= 0) & (most >= 0), cutoff, -1)
+        first, last = np.maximum(first, 0), np.minimum(last, cutoff)
+        counts = np.maximum(last - first + 1, 0)
+        parents = np.repeat(np.arange(partial.size), counts)
+        levels = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(parents.size)
+        table = np.vstack([table[:, parents], levels])
+        partial = partial[parents] + c * levels
+    if not partial.size:
+        raise ValueError(f"no occupation of {sector.n_modes} modes has charge {sector.charge}")
+    table = np.ascontiguousarray(table)
+    table.setflags(write=False)
+    return table
 
 
-def _level_population(psi: np.ndarray, axis: int, levels: list[int]) -> float:
-    """Population of the given levels of one mode: |psi|^2 of just those slices."""
-    return float((np.abs(psi.take(levels, axis)) ** 2).sum())
+@functools.lru_cache(maxsize=8)
+def _codes(sector: Sector) -> NDArray[np.int64]:
+    """Each occupation read as a base-(cutoff+1) number: ascending, as the
+    table is lexicographic, so a search finds an occupation's position."""
+    codes = _place_values(sector) @ _levels(sector)
+    codes.setflags(write=False)
+    return codes
 
 
-def _top_population(psi: np.ndarray) -> float:
-    top = psi.shape[0] - 1
-    return max(_level_population(psi, axis, [top]) for axis in range(psi.ndim))
+def _place_values(sector: Sector) -> NDArray[np.int64]:
+    return (sector.cutoff + 1) ** np.arange(sector.n_modes - 1, -1, -1)
+
+
+def _index(sector: Sector, occupations: np.ndarray) -> NDArray[np.intp]:
+    """Positions in the sector of in-sector occupations, given as the columns
+    of an (n_modes, k) array."""
+    return np.searchsorted(_codes(sector), _place_values(sector) @ occupations)
+
+
+def _weighted_levels(state: FockState) -> NDArray[np.float64]:
+    """n_i |psi|^2 over the sector, (n_modes, size): its sum along the
+    contiguous last axis is <N_i>, taken pairwise for accuracy."""
+    return _levels(state.sector) * (np.abs(state.amplitudes) ** 2)
+
+
+@functools.lru_cache(maxsize=8)
+def _top_levels(sector: Sector) -> tuple:
+    """For each mode's top level and for its top two levels, the (mode, state)
+    index pairs that lie there, so that `_populations` is one gather and one
+    `np.bincount`."""
+    levels = _levels(sector)
+    top, top_two = np.nonzero(levels == sector.cutoff), np.nonzero(levels >= sector.cutoff - 1)
+    for cached in (*top, *top_two):
+        cached.setflags(write=False)
+    return top, top_two
+
+
+def _populations(psi: np.ndarray, levels: tuple, n_modes: int) -> NDArray[np.float64]:
+    """Per-mode population of the `_top_levels` entry `levels`."""
+    modes, states = levels
+    return np.bincount(modes, weights=np.abs(psi[states]) ** 2, minlength=n_modes)
 
 
 @functools.lru_cache(maxsize=16)
 def _pair_eigensystem(cutoff: int, kind: str) -> tuple:
-    """(blocks, w, v, v_dag) with i K = V diag(w) V^dag on each block of K,
-    K built from ladder matrix elements on the pair index n_a (cutoff+1) + n_b.
+    """(w, v) with i K = V diag(w) V^dag on each block of K.
 
-    Each conserved value picks out an evenly strided set of rows; `blocks`
-    holds that slice and its length per block.  The eigensystems are
-    stacked, zero-padded to (cutoff+1) levels, so that one batched product
-    builds every block's unitary: the padding only adds zero terms after
-    the real ones."""
+    Block b holds the pair states with n_a - n_b + cutoff = b (squeezer) or
+    n_a + n_b = b (splitter), rows running over n_a from max(0, b - cutoff);
+    K raises row k to row k + 1 with weight sqrt(n_a + 1) sqrt(n_b + 1)
+    (squeezer) or sqrt(n_a + 1) sqrt(n_b) (splitter), and lowers it back with
+    the opposite sign.  The 2 cutoff + 1 eigensystems are stacked, zero-padded
+    to cutoff + 1 levels, so that one batched product builds every block's
+    unitary: the padding only adds zero terms after the real ones."""
     d = cutoff + 1
-    lower = np.diag(np.sqrt(np.arange(1.0, d)), k=1)
-    levels = np.arange(d)
-    if kind == _SQUEEZER:
-        generator = np.kron(lower.T, lower.T) - np.kron(lower, lower)
-        conserved, stride = np.subtract.outer(levels, levels).ravel(), d + 1
-    else:
-        generator = np.kron(lower.T, lower) - np.kron(lower, lower.T)
-        conserved, stride = np.add.outer(levels, levels).ravel(), d - 1
-    values = range(conserved.min(), conserved.max() + 1)
-    w = np.zeros((len(values), d))
-    v = np.zeros((len(values), d, d), dtype=np.complex128)
-    blocks = []
-    for block, value in enumerate(values):
-        index = np.flatnonzero(conserved == value)
-        rows, size = slice(index[0], index[-1] + 1, stride), index.size
-        w[block, :size], v[block, :size, :size] = np.linalg.eigh(1j * generator[rows, rows])
-        blocks.append((rows, size))
-    v_dag = v.conj().transpose(0, 2, 1)
-    for cached in (w, v, v_dag):
+    root = np.sqrt(np.arange(1.0, d))  # root[m] = sqrt(m + 1)
+    w = np.zeros((2 * cutoff + 1, d))
+    v = np.zeros((2 * cutoff + 1, d, d), dtype=np.complex128)
+    for block in range(2 * cutoff + 1):
+        n_a = np.arange(max(0, block - cutoff), min(block, cutoff) + 1)
+        if kind == _SQUEEZER:
+            weight = root[n_a[:-1]] * root[n_a[:-1] - block + cutoff]
+        else:
+            weight = root[n_a[:-1]] * root[block - n_a[:-1] - 1]
+        size = n_a.size
+        generator = np.zeros((size, size))
+        generator[np.arange(1, size), np.arange(size - 1)] = weight
+        generator[np.arange(size - 1), np.arange(1, size)] = -weight
+        w[block, :size], v[block, :size, :size] = np.linalg.eigh(1j * generator)
+    for cached in (w, v):
         cached.setflags(write=False)
-    return tuple(blocks), w, v, v_dag
+    return w, v
+
+
+@functools.lru_cache(maxsize=32)
+def _pair_layout(sector: Sector, a: int, b: int, kind: str) -> tuple:
+    """(gather, place, levels) laying the sector out for a pair element on (a, b).
+
+    `gather`, (2 cutoff + 1, cutoff + 1, width), holds the sector index of
+    each slot: block as in `_pair_eigensystem`, then the level n_a -
+    max(0, block - cutoff), then the occupation of the other modes, numbered
+    within the block.  Padding slots point at amplitude 0.  `place` gives
+    each sector state's flat slot, and `levels` n_a per (block, level)
+    (clipped in the padding), for the pump-phase rotor."""
+    table = _levels(sector)
+    cutoff, n = sector.cutoff, sector.n_modes
+    d = cutoff + 1
+    n_a, n_b = table[a], table[b]
+    block = n_a - n_b + cutoff if kind == _SQUEEZER else n_a + n_b
+    level = n_a - np.maximum(block - cutoff, 0)
+    span = d ** (n - 2)
+    others = d ** np.arange(n - 3, -1, -1) @ np.delete(table, (a, b), axis=0)
+    keys, column = np.unique(block * span + others, return_inverse=True)
+    column = column - np.searchsorted(keys, keys // span * span)[column]
+    width = int(column.max()) + 1
+    place = (block * d + level) * width + column
+    gather = np.zeros((2 * cutoff + 1) * d * width, dtype=np.intp)
+    gather[place] = np.arange(sector.size)
+    gather = gather.reshape(2 * cutoff + 1, d, width)
+    first = np.maximum(np.arange(2 * cutoff + 1) - cutoff, 0)
+    levels = np.minimum(first[:, None] + np.arange(d), cutoff)[:, :, None]
+    for cached in (gather, place, levels):
+        cached.setflags(write=False)
+    return gather, place, levels
 
 
 def _apply_pair(
-    psi: np.ndarray, a: int, b: int, kind: str, angle: float, phase: float = 0.0
+    state: FockState, a: int, b: int, kind: str, angle: float, phase: float = 0.0
 ) -> np.ndarray:
-    """exp(angle K) on modes (a, b), conjugated by e^{i phase n_a}; angle 0 returns psi.
+    """Amplitudes of exp(angle K) on modes (a, b), conjugated by e^{i phase n_a}
+    (the state's own for angle 0); ValueError if K would change the charge.
 
-    One C-order pass brings modes (a, b) to the front (applying e^{-i phase n_a}),
-    the block unitaries act there in place, and one pass takes the result
-    back to a fresh C-contiguous array (applying e^{i phase n_a}).  Each
-    block of exp(angle K) is real, as K is, so it acts on the real and
-    imaginary parts in one matmul.  Blocks keep the cache and matmuls small:
-    a dense (cutoff+1)^2 unitary added 2.5 MB to the peak memory at cutoff 12.
+    One gather lays the sector out in `_pair_layout`'s blocks (applying
+    e^{-i phase n_a}), one batched matmul applies each block's unitary, and
+    one gather takes the result back to sector order (applying
+    e^{i phase n_a}).  Each block of exp(angle K) is real, as K is, so it
+    acts on the real and imaginary parts at once.  Padding slots hold
+    copies of amplitude 0: the padded unitaries' zero columns ignore them,
+    and their rows are never read back.
     """
+    charges = state.sector.charges
+    if charges[a] + (charges[b] if kind == _SQUEEZER else -charges[b]):
+        raise ValueError(
+            f"a {kind} on modes {a} and {b} of charges {charges[a]} and {charges[b]} "
+            f"does not conserve the state's charge"
+        )
+    psi = state.amplitudes
     if not angle:
         return psi
-    d = psi.shape[a]
-    moved = np.moveaxis(psi, (a, b), (0, 1))
-    work = np.empty(moved.shape, dtype=np.complex128)
+    gather, place, levels = _pair_layout(state.sector, a, b, kind)
+    w, v = _pair_eigensystem(state.cutoff, kind)
+    units = ((v * np.exp(-1j * angle * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)).real
+    work = psi[gather]
     if phase:
-        rotor = np.exp(1j * phase * np.arange(d))
-        np.multiply(moved, rotor.conj().reshape((d,) + (1,) * (psi.ndim - 1)), out=work)
-    else:
-        work[...] = moved
-    parts = work.reshape(d * d, -1).view(np.float64)
-    blocks, w, v, v_dag = _pair_eigensystem(d - 1, kind)
-    units = ((v * np.exp(-1j * angle * w)[:, None, :]) @ v_dag).real
-    for block, (rows, size) in enumerate(blocks):
-        parts[rows] = units[block, :size, :size] @ parts[rows]
-    out = np.empty(psi.shape, dtype=np.complex128)
-    back = np.moveaxis(work, (0, 1), (a, b))
+        rotor = np.exp(1j * phase * np.arange(state.cutoff + 1))[levels]
+        work *= rotor.conj()
+    out = (units @ work.view(np.float64)).view(np.complex128)
     if phase:
-        np.multiply(back, rotor.reshape((d,) + (1,) * (psi.ndim - a - 1)), out=out)
-    else:
-        out[...] = back
-    return out
+        out *= rotor
+    return out.reshape(-1)[place]
+
+
+def _evolved(state: FockState, psi: np.ndarray) -> FockState:
+    """`state` after a pair element gave it the amplitudes `psi`, with the peak
+    top-level population updated."""
+    top = _populations(psi, _top_levels(state.sector)[0], state.n_modes).max()
+    return FockState(state.sector, _frozen(psi), max(state.peak_top_population, float(top)))
 
 
 def apply_phase(state: FockState, mode: int, phase: float) -> FockState:
     """Phase shifter exp(i phase N) on one mode; exact and leak-free."""
     _check_state_modes(state, mode)
     _check_phase(phase)
-    d = state.cutoff + 1
-    shape = [1] * state.n_modes
-    shape[mode] = d
-    factors = np.exp(1j * phase * np.arange(d)).reshape(shape)
-    psi = _frozen(state.amplitudes * factors)
-    return FockState(state.cutoff, psi, state.peak_top_population)
+    factors = np.exp(1j * phase * np.arange(state.cutoff + 1))[_levels(state.sector)[mode]]
+    # np.multiply, not `*`: numpy may reuse a large temporary operand as the
+    # output of `*` and swap the operands, which changes the product's last bit
+    psi = _frozen(np.multiply(state.amplitudes, factors))
+    return FockState(state.sector, psi, state.peak_top_population)
 
 
 def apply_two_mode_squeezer(
@@ -250,18 +392,16 @@ def apply_two_mode_squeezer(
 ) -> FockState:
     """Two-mode squeezer exp(xi a^dag b^dag - conj(xi) a b), xi = gain e^{i phase}.
 
-    Raises LeakageError when the resulting population in the top two
-    levels of any mode exceeds HARD_LEAKAGE_LIMIT; the cutoff is then
-    too small for this gain.
+    Raises ValueError unless the two modes carry opposite charges, and
+    LeakageError when the resulting population in the top two levels of
+    any mode exceeds HARD_LEAKAGE_LIMIT; the cutoff is then too small for
+    this gain.
     """
     _check_state_modes(state, signal, idler)
     if gain < 0.0 or not math.isfinite(gain):
         raise ValueError(f"gain must be finite and >= 0, got {gain}")
     _check_phase(pump_phase)
-    psi = _frozen(_apply_pair(state.amplitudes, signal, idler, _SQUEEZER, gain, pump_phase))
-    new_state = FockState(
-        state.cutoff, psi, max(state.peak_top_population, _top_population(psi))
-    )
+    new_state = _evolved(state, _apply_pair(state, signal, idler, _SQUEEZER, gain, pump_phase))
     worst = leakage_report(new_state).worst
     if worst > HARD_LEAKAGE_LIMIT:
         raise LeakageError(
@@ -275,102 +415,167 @@ def apply_beam_splitter(state: FockState, mode_a: int, mode_b: int, transmittanc
     """Beam splitter of intensity transmittance T: a' = t a + r b, b' = t b - r a.
 
     Photon-number conserving, so the truncated evolution is exactly
-    unitary and introduces no norm loss.
+    unitary and introduces no norm loss.  Raises ValueError unless the two
+    modes carry the same charge.
     """
     _check_state_modes(state, mode_a, mode_b)
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError(f"transmittance must lie in [0, 1], got {transmittance}")
     kappa = math.atan2(math.sqrt(1.0 - transmittance), math.sqrt(transmittance))
-    psi = _frozen(_apply_pair(state.amplitudes, mode_a, mode_b, _SPLITTER, kappa))
-    return FockState(state.cutoff, psi, max(state.peak_top_population, _top_population(psi)))
+    return _evolved(state, _apply_pair(state, mode_a, mode_b, _SPLITTER, kappa))
 
 
 def leakage_report(state: FockState) -> LeakageReport:
     """Per-mode population in the top two levels, plus the norm deficit."""
+    populations = _populations(state.amplitudes, _top_levels(state.sector)[1], state.n_modes)
+    return LeakageReport(populations, abs(1.0 - state.norm))
+
+
+@functools.lru_cache(maxsize=8)
+def _moment_map(sector: Sector) -> tuple:
+    """(entries, starts, source, target, weight): the hop maps of <a_i^dag a_j>
+    (i < j) and <a_i a_j> (i <= j), concatenated.
+
+    The moment of entry (kind, i, j), kind 0 normal and 1 anomalous, is the
+    sum over its run, from its start, of weight conj(psi[target]) psi[source]:
+    over the states s that a_j lowers to t = s - e_j and whose partner
+    t + e_i (normal) or t - e_i (anomalous) lies in the sector, with weight
+    sqrt(s_j) sqrt(t_i + 1) or sqrt(s_j) sqrt(t_i).  Entries whose partner
+    would change the charge are 0 and left out, and so is the normal
+    diagonal <N_i>, which the occupation table gives directly.
+    """
+    table = _levels(sector)
+    charges, n = sector.charges, sector.n_modes
+    root = np.sqrt(np.arange(sector.cutoff + 2.0))
+    entries, runs = [], []
+    for kind, step in ((0, 1), (1, -1)):
+        for i in range(n):
+            for j in range(i + 1 - kind, n):
+                if step * charges[i] != charges[j]:
+                    continue
+                partner = table.copy()
+                partner[j] -= 1
+                partner[i] += step
+                source = np.flatnonzero(
+                    (table[j] > 0) & (partner[i] >= 0) & (partner[i] <= sector.cutoff)
+                )
+                if source.size:
+                    entries.append((kind, i, j))
+                    weight = root[table[j, source]] * root[partner[i, source] + kind]
+                    runs.append((source, _index(sector, partner[:, source]), weight))
+    sizes = [run[0].size for run in runs]
+    starts = np.cumsum([0] + sizes)[:-1]
+    source, target, weight = (
+        np.concatenate([run[k] for run in runs]) if runs else np.zeros(0, dtype)
+        for k, dtype in enumerate((np.intp, np.intp, np.float64))
+    )
+    entries = tuple(np.array(column, dtype=np.intp) for column in zip(*entries)) if entries else ()
+    for cached in (starts, source, target, weight, *entries):
+        cached.setflags(write=False)
+    return entries, starts, source, target, weight
+
+
+def _second_moments(state: FockState) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
+    """Normal and anomalous moment matrices from the hop maps, unchecked."""
+    entries, starts, source, target, weight = _moment_map(state.sector)
     psi = state.amplitudes
-    top_two = [state.cutoff - 1, state.cutoff]
-    populations = [_level_population(psi, axis, top_two) for axis in range(psi.ndim)]
-    return LeakageReport(np.array(populations), abs(1.0 - state.norm))
+    n = state.n_modes
+    moments = np.zeros((2, n, n), dtype=np.complex128)
+    if starts.size:
+        terms = psi[target]
+        np.conjugate(terms, out=terms)
+        terms *= psi[source]
+        terms *= weight
+        moments[entries] = np.add.reduceat(terms, starts)
+    normal, anomalous = moments
+    normal += normal.conj().T
+    np.fill_diagonal(normal, _weighted_levels(state).sum(axis=1))
+    anomalous += np.triu(anomalous, 1).T
+    return normal, anomalous
 
 
 def cross_correlation(state: FockState, mode_a: int, mode_b: int) -> complex:
-    """<a_i^dag a_j> evaluated from ladder matrix elements."""
+    """<a_i^dag a_j>, one entry of the hop sums of `moment_matrices`."""
     _check_state_modes(state, mode_a)
     _check_state_modes(state, mode_b)
-    return complex(np.vdot(_ladder(state.amplitudes, mode_a), _ladder(state.amplitudes, mode_b)))
+    return complex(_second_moments(state)[0][mode_a, mode_b])
 
 
 def pair_correlation(state: FockState, mode_a: int, mode_b: int) -> complex:
-    """<a_i a_j> evaluated from ladder matrix elements."""
+    """<a_i a_j>, one entry of the hop sums of `moment_matrices`."""
     _check_state_modes(state, mode_a)
     _check_state_modes(state, mode_b)
-    return complex(np.vdot(state.amplitudes, _ladder(_ladder(state.amplitudes, mode_a), mode_b)))
+    return complex(_second_moments(state)[1][mode_a, mode_b])
 
 
 def moment_matrices(state: FockState) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
     """All second moments: normal <a_i^dag a_j> and anomalous <a_i a_j>, each (n, n).
 
-    Taken as <a_i psi|a_j psi> and <a_i^dag psi|a_j psi> from 2n ladder
-    applications: the n lowered states share one stacked buffer, and the n
-    raised ones take turns in one more.  The normal matrix is Hermitian, so
-    its lower triangle is the conjugate of the upper one.  Raises
-    LeakageError for a state flagged unreliable.
+    Off-diagonal normal moments and all anomalous ones are weighted sums
+    over the sector's cached hop maps, one per upper-triangle entry; the
+    normal matrix is Hermitian and the anomalous one symmetric, so the lower
+    triangles are copies, and the normal diagonal <N_i> is |psi|^2 times
+    the occupation table.  Raises LeakageError for a state flagged
+    unreliable.
     """
     _check_reliable(state)
-    psi = state.amplitudes
-    n = state.n_modes
-    lowered = np.empty((n,) + psi.shape, dtype=np.complex128)
-    for i in range(n):
-        _ladder(psi, i, out=lowered[i])
-    raised = np.empty_like(psi)
-    normal = np.empty((n, n), dtype=np.complex128)
-    anomalous = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(i, n):
-            normal[i, j] = np.vdot(lowered[i], lowered[j])
-        normal[i + 1 :, i] = normal[i, i + 1 :].conj()
-        _ladder(psi, i, create=True, out=raised)
-        for j in range(n):
-            anomalous[i, j] = np.vdot(raised, lowered[j])
-    return normal, anomalous
+    return _second_moments(state)
 
 
 def number_moments(state: FockState) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Photon-number means <N_i>, shape (n,), and covariances Cov(N_i, N_j), (n, n).
 
     Read off the joint number distribution |psi|^2 alone, with no Wick
-    formula: each entry is a weighted sum over the one- or two-mode
-    marginal of the modes it involves, so no state-sized occupation array
-    is built.  Raises LeakageError for a state flagged unreliable.
+    formula: two products of it with the occupation table, n_i |psi|^2 and
+    n_i n_j |psi|^2 (i <= j), each summed over the sector.  Raises
+    LeakageError for a state flagged unreliable.
     """
     _check_reliable(state)
-    probs = np.abs(state.amplitudes) ** 2
-    n = state.n_modes
-    levels = np.arange(state.cutoff + 1.0)
-    means = np.empty(n)
-    products = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            marginal = np.einsum(probs, range(n), sorted({i, j}))
-            if i == j:
-                means[i] = levels @ marginal
-                products[i, i] = levels**2 @ marginal
-            else:
-                products[i, j] = products[j, i] = levels @ marginal @ levels
+    weighted, levels = _weighted_levels(state), _levels(state.sector)
+    means = weighted.sum(axis=1)
+    rows, cols = np.triu_indices(state.n_modes)
+    products = np.empty((state.n_modes, state.n_modes))
+    products[rows, cols] = products[cols, rows] = (weighted[rows] * levels[cols]).sum(axis=1)
     return means, products - np.outer(means, means)
+
+
+def _charges(n_modes: int, elements: list[tuple]) -> tuple[int, ...]:
+    """Per-mode charges that every element conserves: a squeezer's signal +1
+    and idler -1, equal charges across a splitter, 0 for a mode no squeezer
+    reaches.  Each squeezer whose signal is still uncharged seeds it with +1,
+    and the charge spreads along the pair elements from there; a network that
+    no assignment fits is refused by its `apply_*` call."""
+    links: dict[int, list[tuple[int, int]]] = {}
+    for kind, a, b, *_ in (element for element in elements if element[0] != PHASE):
+        sign = -1 if kind == SQUEEZE else 1
+        links.setdefault(a, []).append((b, sign))
+        links.setdefault(b, []).append((a, sign))
+    charges = [0] * n_modes
+    for kind, signal, *_ in elements:
+        if kind != SQUEEZE or charges[signal]:
+            continue
+        charges[signal], todo = 1, [signal]
+        while todo:
+            mode = todo.pop()
+            for other, sign in links[mode]:
+                if not charges[other]:
+                    charges[other] = sign * charges[mode]
+                    todo.append(other)
+    return tuple(charges)
 
 
 def simulate_network(params: SetupParams, cutoff: int, cut: str = FULL) -> FockState:
     """Run `model.network` from vacuum in truncated Fock space.
 
     Same elements and mode layout as the Gaussian engine's
-    `model.build_network`, computed entirely through Fock-space unitaries.
+    `model.build_network`, computed entirely through Fock-space unitaries
+    on the vacuum's charge sector.
     """
     n, elements = network(params, cut)
     # looked up per call, not at import, so rebinding a module attribute
     # (as a tracer does) reaches the propagation
     apply = {SQUEEZE: apply_two_mode_squeezer, PHASE: apply_phase, SPLIT: apply_beam_splitter}
-    state = vacuum(n, cutoff)
+    state = vacuum(n, cutoff, _charges(n, elements))
     for kind, *args in elements:
         state = apply[kind](state, *args)
     return state

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +77,13 @@ def test_squeezer_pump_phase_amplitudes(gain, pump_phase):
     state = fock.apply_two_mode_squeezer(fock.vacuum(2, 12), 0, 1, gain, pump_phase)
     n = np.arange(13)
     expected = np.diag((np.exp(1j * pump_phase) * math.tanh(gain)) ** n / math.cosh(gain))
-    np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(state.to_dense(), expected, rtol=0, atol=1e-12)
+
+
+def _full_space_state(amps):
+    """A state on the full space, the zero-charge sector, whose table lists the
+    occupations in C order: the dense amplitudes flattened."""
+    return fock.FockState(fock.Sector(amps.shape[0] - 1, (0,) * amps.ndim), amps.ravel())
 
 
 def _low_occupation_state(rng, n_modes, cutoff, max_occupation=2):
@@ -84,14 +91,14 @@ def _low_occupation_state(rng, n_modes, cutoff, max_occupation=2):
     amps = np.zeros((cutoff + 1,) * n_modes, dtype=np.complex128)
     low = (slice(0, max_occupation + 1),) * n_modes
     amps[low] = rng.normal(size=amps[low].shape) + 1j * rng.normal(size=amps[low].shape)
-    return fock.FockState(cutoff, amps / np.linalg.norm(amps))
+    return _full_space_state(amps / np.linalg.norm(amps))
 
 
 def _unflagged(state):
     """The same amplitudes with the unreliable flag cleared, for checks of
     conservation laws that the truncated evolution keeps exactly, leakage
     or not."""
-    return fock.FockState(state.cutoff, state.amplitudes)
+    return fock.FockState(state.sector, state.amplitudes)
 
 
 def test_pair_elements_obey_group_law_and_stay_unitary():
@@ -142,7 +149,10 @@ def _dense_pair_unitary(d, kind, angle, phase):
     "kind, angle, phase", [(fock._SQUEEZER, 0.37, 1.2), (fock._SPLITTER, 0.9, 0.0)]
 )
 def test_pair_unitary_matches_dense_exponential(kind, angle, phase):
-    """Every conserved-number block is evolved, on a state populating all of them."""
+    """Every conserved-number block is evolved, on a full-space state populating
+    all of them.  The splitter goes through `apply_beam_splitter`; the squeezer
+    through the pair kernel it shares with `apply_two_mode_squeezer`, whose
+    leakage check refuses any state with population in the top levels."""
     rng = np.random.default_rng(5)
     d = 6
     psi = rng.normal(size=(d,) * 3) + 1j * rng.normal(size=(d,) * 3)
@@ -150,8 +160,12 @@ def test_pair_unitary_matches_dense_exponential(kind, angle, phase):
     expected = np.moveaxis(
         (_dense_pair_unitary(d, kind, angle, phase) @ moved).reshape((d,) * 3), (0, 1), (2, 0)
     )
-    got = fock._apply_pair(psi, 2, 0, kind, angle, phase)
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    state = _full_space_state(psi)
+    if kind == fock._SPLITTER:
+        got = fock.apply_beam_splitter(state, 2, 0, math.cos(angle) ** 2)
+    else:
+        got = fock.FockState(state.sector, fock._apply_pair(state, 2, 0, kind, angle, phase))
+    np.testing.assert_allclose(got.to_dense(), expected, rtol=0, atol=1e-12)
 
 
 def _full_support_state(rng, n_modes, cutoff):
@@ -172,19 +186,22 @@ def _kron_lowering(d, n_modes, mode):
 
 @pytest.mark.parametrize("create", [False, True])
 def test_ladder_matches_kronecker_operators(create):
-    """Every axis, on a state populating every level; an output buffer full of
-    NaN checks that each entry is written, the edge slice included."""
+    """Every mode pair, on a full-space state populating every level, top ones
+    included: <a_i^dag a_j> = <a_i psi|a_j psi> from `cross_correlation`, or
+    with `create` <a_i a_j> = <a_i^dag psi|a_j psi> from `pair_correlation`,
+    against Kronecker ladder operators."""
     rng = np.random.default_rng(21)
     d, n = 5, 3
     psi = _full_support_state(rng, n, d - 1)
-    for mode in range(n):
-        op = _kron_lowering(d, n, mode)
-        expected = ((op.T if create else op) @ psi.ravel()).reshape(psi.shape)
-        got = fock._ladder(psi, mode, create)
-        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
-        out = np.full_like(psi, np.nan)
-        assert fock._ladder(psi, mode, create, out=out) is out
-        np.testing.assert_array_equal(out, got)
+    state = _full_space_state(psi)
+    flat = psi.ravel()
+    ops = [_kron_lowering(d, n, mode) for mode in range(n)]
+    correlation = fock.pair_correlation if create else fock.cross_correlation
+    for i in range(n):
+        bra = (ops[i].T if create else ops[i]) @ flat
+        for j in range(n):
+            expected = np.vdot(bra, ops[j] @ flat)
+            assert abs(correlation(state, i, j) - expected) <= 1e-15
 
 
 def test_moment_matrices_match_operator_reference():
@@ -195,7 +212,7 @@ def test_moment_matrices_match_operator_reference():
     psi = _full_support_state(rng, n, d - 1)
     flat = psi.ravel()
     ops = [_kron_lowering(d, n, mode) for mode in range(n)]
-    normal, anomalous = fock.moment_matrices(fock.FockState(d - 1, psi))
+    normal, anomalous = fock.moment_matrices(_full_space_state(psi))
     expected_normal = [[flat.conj() @ (a.T @ b) @ flat for b in ops] for a in ops]
     expected_anomalous = [[flat.conj() @ (a @ b) @ flat for b in ops] for a in ops]
     np.testing.assert_allclose(normal, expected_normal, rtol=0, atol=1e-14)
@@ -207,17 +224,18 @@ def test_moment_matrices_match_operator_reference():
 def test_state_copies_what_it_cannot_trust():
     """A writable or non-C-contiguous array is copied into a frozen C-contiguous
     one; an array that already is frozen, C-contiguous and complex128 is kept."""
-    amps = np.zeros((3, 3), dtype=np.complex128)
-    amps[1, 0] = 1.0
-    state = fock.FockState(2, amps)
-    amps[1, 0] = 0.5
-    assert state.amplitudes[1, 0] == 1.0
-    transposed = fock.FockState(2, state.amplitudes.T)
-    assert transposed.amplitudes.flags.c_contiguous
-    assert transposed.amplitudes[0, 1] == 1.0
-    for kept in (state, transposed):
+    sector = fock.Sector(2, (0, 0))
+    amps = np.zeros(9, dtype=np.complex128)
+    amps[3] = 1.0
+    state = fock.FockState(sector, amps)
+    amps[3] = 0.5
+    assert state.amplitudes[3] == 1.0
+    strided = fock.FockState(sector, np.repeat(state.amplitudes, 2)[::2])
+    assert strided.amplitudes.flags.c_contiguous
+    assert strided.amplitudes[3] == 1.0
+    for kept in (state, strided):
         assert not kept.amplitudes.flags.writeable
-        assert fock.FockState(2, kept.amplitudes).amplitudes is kept.amplitudes
+        assert fock.FockState(sector, kept.amplitudes).amplitudes is kept.amplitudes
 
 
 def test_apply_outputs_are_frozen_and_c_contiguous():
@@ -250,31 +268,31 @@ def test_pairwise_emission_conserves_number_difference():
 
 def test_single_photon_splits_evenly():
     state = fock.apply_beam_splitter(fock.basis_state(2, 3, (1, 0)), 0, 1, 0.5)
-    probs = np.abs(state.amplitudes) ** 2
+    probs = np.abs(state.to_dense()) ** 2
     assert probs[1, 0] == pytest.approx(0.5, abs=1e-12)
     assert probs[0, 1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_splitter_amplitude_signs():
     # photon entering the first port: transmitted +t, reflected -r
-    state = fock.apply_beam_splitter(fock.basis_state(2, 3, (1, 0)), 0, 1, 0.64)
-    assert state.amplitudes[1, 0].real == pytest.approx(0.8, abs=1e-12)
-    assert state.amplitudes[0, 1].real == pytest.approx(-0.6, abs=1e-12)
+    amps = fock.apply_beam_splitter(fock.basis_state(2, 3, (1, 0)), 0, 1, 0.64).to_dense()
+    assert amps[1, 0].real == pytest.approx(0.8, abs=1e-12)
+    assert amps[0, 1].real == pytest.approx(-0.6, abs=1e-12)
     # photon entering the second port: transmitted +t, reflected +r
-    state = fock.apply_beam_splitter(fock.basis_state(2, 3, (0, 1)), 0, 1, 0.64)
-    assert state.amplitudes[0, 1].real == pytest.approx(0.8, abs=1e-12)
-    assert state.amplitudes[1, 0].real == pytest.approx(0.6, abs=1e-12)
+    amps = fock.apply_beam_splitter(fock.basis_state(2, 3, (0, 1)), 0, 1, 0.64).to_dense()
+    assert amps[0, 1].real == pytest.approx(0.8, abs=1e-12)
+    assert amps[1, 0].real == pytest.approx(0.6, abs=1e-12)
 
 
 def test_hong_ou_mandel_dip():
-    state = fock.apply_beam_splitter(fock.basis_state(2, 4, (1, 1)), 0, 1, 0.5)
-    assert abs(state.amplitudes[1, 1]) < 1e-12
-    assert abs(state.amplitudes[2, 0]) ** 2 == pytest.approx(0.5, abs=1e-12)
+    amps = fock.apply_beam_splitter(fock.basis_state(2, 4, (1, 1)), 0, 1, 0.5).to_dense()
+    assert abs(amps[1, 1]) < 1e-12
+    assert abs(amps[2, 0]) ** 2 == pytest.approx(0.5, abs=1e-12)
 
 
 def test_phase_shift_multiplies_by_occupation():
     state = fock.apply_phase(fock.basis_state(2, 4, (3, 1)), 0, 0.5)
-    assert state.amplitudes[3, 1] == pytest.approx(np.exp(3j * 0.5), abs=1e-12)
+    assert state.to_dense()[3, 1] == pytest.approx(np.exp(3j * 0.5), abs=1e-12)
 
 
 def test_number_conserving_steps_preserve_norm():
@@ -373,3 +391,125 @@ def test_oracle_imports_nothing_from_the_engine():
                 imported.update(alias.name.split("."))
     assert "model" in imported
     assert not imported & {"bogoliubov", "moments"}
+
+
+_APPLY = {
+    model.SQUEEZE: fock.apply_two_mode_squeezer,
+    model.PHASE: fock.apply_phase,
+    model.SPLIT: fock.apply_beam_splitter,
+}
+
+
+def _full_space_network(params, cutoff):
+    """`model.network` propagated from the all-zero-charge vacuum, i.e. on the
+    full space, or the message of the LeakageError that refused it."""
+    n, elements = model.network(params)
+    state = fock.vacuum(n, cutoff)
+    try:
+        for kind, *args in elements:
+            state = _APPLY[kind](state, *args)
+    except fock.LeakageError as error:
+        return str(error)
+    return state
+
+
+def _random_network_setup(rng, r_max, t2):
+    ra, rb = rng.uniform(0.0, r_max, size=2)
+    return model.SetupParams(
+        va=math.sinh(ra) ** 2,
+        vb=math.sinh(rb) ** 2,
+        t=float(rng.uniform(0.0, 1.0)),
+        t2=t2,
+        theta_a=float(rng.uniform(0.0, 2.0 * math.pi)),
+        theta_b=float(rng.uniform(0.0, 2.0 * math.pi)),
+        idler_phase=float(rng.uniform(0.0, 2.0 * math.pi)),
+    )
+
+
+def test_charge_sector_matches_full_space():
+    """`simulate_network` propagates on the vacuum's Q = 0 sector under charges
+    it derives; the same elements on the full space (all charges 0) give the
+    same amplitudes after embedding, the same flags and refusals, and the same
+    moments.  Gains up to r = 1.1 mix certified, flagged and refused draws."""
+    rng = np.random.default_rng(31)
+    cases = [(_random_network_setup(rng, 1.1, 1.0), 12) for _ in range(24)]
+    cases += [(_random_network_setup(rng, 0.6, float(rng.uniform(0.2, 0.9))), 9) for _ in range(4)]
+    seen = set()
+    for params, cutoff in cases:
+        full = _full_space_network(params, cutoff)
+        try:
+            state = fock.simulate_network(params, cutoff)
+        except fock.LeakageError as error:
+            assert str(error) == full
+            seen.add("refused")
+            continue
+        charges = {4: (1, 1, -1, -1), 5: (1, 1, -1, -1, 1)}[state.n_modes]
+        assert state.sector == fock.Sector(cutoff, charges)
+        assert full.sector == fock.Sector(cutoff, (0,) * state.n_modes)
+        np.testing.assert_array_equal(state.to_dense(), full.to_dense())
+        assert state.unreliable == full.unreliable
+        if state.unreliable:
+            seen.add("flagged")
+            for refused in (state, full):
+                with pytest.raises(fock.LeakageError):
+                    fock.moment_matrices(refused)
+            continue
+        seen.add(f"certified {state.n_modes} modes")
+        pairs = zip(
+            fock.moment_matrices(state) + fock.number_moments(state),
+            fock.moment_matrices(full) + fock.number_moments(full),
+        )
+        for sector_moment, full_moment in pairs:
+            np.testing.assert_allclose(sector_moment, full_moment, rtol=0, atol=1e-14)
+    assert seen == {"refused", "flagged", "certified 4 modes", "certified 5 modes"}
+
+
+def test_nonzero_charge_sector_matches_full_space():
+    """A basis state lives in the sector of its own charge, and evolves there
+    as it does on the full space."""
+    charged = fock.basis_state(3, 8, (1, 2, 0), charges=(1, 1, -1))
+    full = fock.basis_state(3, 8, (1, 2, 0))
+    assert charged.sector == fock.Sector(8, (1, 1, -1), 3)
+    for step in (
+        lambda s: fock.apply_beam_splitter(s, 0, 1, 0.3),
+        lambda s: fock.apply_phase(s, 1, 0.8),
+        lambda s: fock.apply_two_mode_squeezer(s, 1, 2, 0.05, 0.4),
+    ):
+        charged, full = step(charged), step(full)
+        np.testing.assert_array_equal(charged.to_dense(), full.to_dense())
+
+
+def test_elements_that_change_the_charge_are_refused():
+    state = fock.vacuum(3, 4, charges=(1, 1, -1))
+    with pytest.raises(ValueError, match="charge"):
+        fock.apply_two_mode_squeezer(state, 0, 1, 0.1)
+    with pytest.raises(ValueError, match="charge"):
+        fock.apply_two_mode_squeezer(state, 0, 1, 0.0)
+    with pytest.raises(ValueError, match="charge"):
+        fock.apply_beam_splitter(state, 1, 2, 0.5)
+    fock.apply_beam_splitter(fock.apply_two_mode_squeezer(state, 0, 2, 0.1), 0, 1, 0.5)
+    for charges in ((1, -1), (1, 1, -1, 0)):
+        with pytest.raises(ValueError, match="charges"):
+            fock.vacuum(3, 4, charges)
+        with pytest.raises(ValueError, match="charges"):
+            fock.basis_state(3, 4, (0, 1, 0), charges)
+    with pytest.raises(ValueError, match="flat vector"):
+        fock.FockState(state.sector, np.ones(state.amplitudes.size + 1))
+
+
+def test_cutoff_30_draw_stays_below_one_dense_state():
+    """A 4-mode draw at cutoff 30 and both moment functions, cold caches
+    included, peak below the 16 * 31^4 B = 14.8 MB of one dense state: no step
+    may build the dense grid."""
+    params = model.SetupParams(
+        va=math.sinh(0.5) ** 2, vb=math.sinh(0.4) ** 2, t=0.6, theta_a=0.3, theta_b=1.0
+    )
+    tracemalloc.start()
+    try:
+        state = fock.simulate_network(params, cutoff=30)
+        fock.moment_matrices(state)
+        fock.number_moments(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 31**4

@@ -28,7 +28,7 @@ def _occupation_weighted(values, axis):
 
 def _per_pair_number_covariance(state, i, j):
     """Cov(N_i, N_j) as one full-state weighted sum per mode pair."""
-    probs = np.abs(state.amplitudes) ** 2
+    probs = np.abs(state.to_dense()) ** 2
     joint = _occupation_weighted(_occupation_weighted(probs, i), j).sum()
     return joint - _occupation_weighted(probs, i).sum() * _occupation_weighted(probs, j).sum()
 
