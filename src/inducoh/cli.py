@@ -126,12 +126,16 @@ def _parse_grid(text: str | None) -> np.ndarray:
 
 
 def _parse_gains(text: str) -> list[float]:
+    tokens = [g.strip() for g in text.split(",") if g.strip() != ""]
     try:
-        gains = [float(g) for g in text.split(",") if g.strip() != ""]
+        gains = [float(g) for g in tokens]
     except ValueError as exc:
         raise _UsageError(f"bad gains list {text!r}: {exc}") from exc
     if not gains:
         raise _UsageError("gains list is empty")
+    for token, gain in zip(tokens, gains):
+        if not (math.isfinite(gain) and gain >= 0.0):
+            raise _UsageError(f"gain {token!r} must be finite and >= 0")
     return gains
 
 
@@ -196,6 +200,8 @@ def _figure_path(out_dir: str, stem: str, fmt: str) -> str:
 def _cmd_figure(args: argparse.Namespace) -> int:
     if args.resolution < 2:
         raise _UsageError(f"resolution must be >= 2, got {args.resolution}")
+    default_gains = [0.0, 1.0, 10.0, 100.0] if args.figure == "coherence" else [1.0, 10.0, 100.0]
+    gains = _parse_gains(args.gains) if args.gains else default_gains
     os.makedirs(args.out, exist_ok=True)
     grid = np.linspace(0.0, 1.0, args.resolution)
     written = []
@@ -205,8 +211,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         _emit_rows(header, rows, args.format, path)
         written.append(path)
 
-    default_gains = [0.0, 1.0, 10.0, 100.0] if args.figure == "coherence" else [1.0, 10.0, 100.0]
-    gains = _parse_gains(args.gains) if args.gains else default_gains
     if args.figure == "coherence":
         for gain in gains:
             rows = [[t, model.visibility_optimal(gain, t)] for t in grid]

@@ -25,15 +25,21 @@ Each two-mode element is exp(s K), K = a^dag b^dag - a b for a squeezer of
 gain s = r and K = a^dag b - b^dag a for a splitter of angle s = kappa,
 truncated at the cutoff.  K is real, antisymmetric and block diagonal in
 the conserved n_a - n_b (resp. n_a + n_b), so it is exponentiated exactly
-from cached per-block eigendecompositions; a pump phase theta enters as
-e^{i theta n_a} exp(r K) e^{-i theta n_a}.  A cached gather map lays the
+from cached per-block eigendecompositions.  A cached gather map lays the
 sector out as (conserved value, other modes, level of mode a) blocks, so
-one batched matmul applies the element.  The truncated evolution is
+one batched matmul applies the element.  A pump phase theta is no part of
+the pair unitary: the squeezer is e^{i theta n_a} exp(r K) e^{-i theta n_a},
+two phase shifts around the bare element.  The truncated evolution is
 exactly unitary, so truncation error shows up as population near the
-cutoff, which `leakage_report` exposes and `moment_matrices` (second
-moments as weighted sums over cached "hop" maps between occupations) and
-`number_moments` (number means and covariances from |psi|^2 and the
-occupation table, no Wick formula) refuse to ignore.
+cutoff, which `leakage_report` exposes and `moment_matrices` and
+`number_moments` refuse to ignore.
+
+Second moments are inner products of ladder images, <a_i^dag a_j> =
+<a_i psi|a_j psi> and <a_i a_j> = <a_i^dag psi|a_j psi>.  a_j moves a state
+to the sector of charge Q - c_j, a_j^dag to Q + c_j, and a cached map per
+mode gathers each image from psi; two images pair only when they share a
+sector.  Number means and covariances come from |psi|^2 and the occupation
+table alone, with no Wick formula.
 
 The interferometer is `model.network`, the element list the Gaussian
 engine also evaluates; `simulate_network` applies it element by element.
@@ -86,7 +92,8 @@ class LeakageReport:
 class Sector:
     """The occupations of len(charges) modes, each level in [0, cutoff], whose
     total charge sum_i charges[i] n_i equals `charge`.  All charges 0 (and
-    charge 0) is the full space."""
+    charge 0) is the full space.  A sector may be empty, as a ladder image's
+    can be, but no state lives in one."""
 
     cutoff: int
     charges: tuple[int, ...]
@@ -130,7 +137,12 @@ class FockState:
             and not amps.flags.writeable
         ):
             amps = _frozen(np.array(amps, dtype=np.complex128, order="C"))
-        if amps.shape != (self.sector.size,):
+        size = self.sector.size
+        if not size:
+            raise ValueError(
+                f"no occupation of {self.n_modes} modes has charge {self.sector.charge}"
+            )
+        if amps.shape != (size,):
             raise ValueError("amplitudes must be a flat vector over the sector's occupations")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -220,8 +232,6 @@ def _levels(sector: Sector) -> NDArray[np.int64]:
         levels = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(parents.size)
         table = np.vstack([table[:, parents], levels])
         partial = partial[parents] + c * levels
-    if not partial.size:
-        raise ValueError(f"no occupation of {sector.n_modes} modes has charge {sector.charge}")
     table = np.ascontiguousarray(table)
     table.setflags(write=False)
     return table
@@ -244,12 +254,6 @@ def _index(sector: Sector, occupations: np.ndarray) -> NDArray[np.intp]:
     """Positions in the sector of in-sector occupations, given as the columns
     of an (n_modes, k) array."""
     return np.searchsorted(_codes(sector), _place_values(sector) @ occupations)
-
-
-def _weighted_levels(state: FockState) -> NDArray[np.float64]:
-    """n_i |psi|^2 over the sector, (n_modes, size): its sum along the
-    contiguous last axis is <N_i>, taken pairwise for accuracy."""
-    return _levels(state.sector) * (np.abs(state.amplitudes) ** 2)
 
 
 @functools.lru_cache(maxsize=8)
@@ -303,14 +307,13 @@ def _pair_eigensystem(cutoff: int, kind: str) -> tuple:
 
 @functools.lru_cache(maxsize=32)
 def _pair_layout(sector: Sector, a: int, b: int, kind: str) -> tuple:
-    """(gather, place, levels) laying the sector out for a pair element on (a, b).
+    """(gather, place) laying the sector out for a pair element on (a, b).
 
     `gather`, (2 cutoff + 1, cutoff + 1, width), holds the sector index of
     each slot: block as in `_pair_eigensystem`, then the level n_a -
     max(0, block - cutoff), then the occupation of the other modes, numbered
     within the block.  Padding slots point at amplitude 0.  `place` gives
-    each sector state's flat slot, and `levels` n_a per (block, level)
-    (clipped in the padding), for the pump-phase rotor."""
+    each sector state's flat slot."""
     table = _levels(sector)
     cutoff, n = sector.cutoff, sector.n_modes
     d = cutoff + 1
@@ -326,47 +329,41 @@ def _pair_layout(sector: Sector, a: int, b: int, kind: str) -> tuple:
     gather = np.zeros((2 * cutoff + 1) * d * width, dtype=np.intp)
     gather[place] = np.arange(sector.size)
     gather = gather.reshape(2 * cutoff + 1, d, width)
-    first = np.maximum(np.arange(2 * cutoff + 1) - cutoff, 0)
-    levels = np.minimum(first[:, None] + np.arange(d), cutoff)[:, :, None]
-    for cached in (gather, place, levels):
+    for cached in (gather, place):
         cached.setflags(write=False)
-    return gather, place, levels
+    return gather, place
 
 
-def _apply_pair(
-    state: FockState, a: int, b: int, kind: str, angle: float, phase: float = 0.0
-) -> np.ndarray:
-    """Amplitudes of exp(angle K) on modes (a, b), conjugated by e^{i phase n_a}
-    (the state's own for angle 0); ValueError if K would change the charge.
+def _apply_pair(state: FockState, a: int, b: int, kind: str, angle: float) -> np.ndarray:
+    """Amplitudes of exp(angle K) on modes (a, b), the state's own for angle 0;
+    unchecked, so the caller runs `_check_charge` first.
 
-    One gather lays the sector out in `_pair_layout`'s blocks (applying
-    e^{-i phase n_a}), one batched matmul applies each block's unitary, and
-    one gather takes the result back to sector order (applying
-    e^{i phase n_a}).  Each block of exp(angle K) is real, as K is, so it
-    acts on the real and imaginary parts at once.  Padding slots hold
-    copies of amplitude 0: the padded unitaries' zero columns ignore them,
-    and their rows are never read back.
+    One gather lays the sector out in `_pair_layout`'s blocks, one batched
+    matmul applies each block's unitary, and one gather takes the result back
+    to sector order.  Each block of exp(angle K) is real, as K is, so it acts
+    on the real and imaginary parts at once.  Padding slots hold copies of
+    amplitude 0: the padded unitaries' zero columns ignore them, and their
+    rows are never read back.
     """
+    psi = state.amplitudes
+    if not angle:
+        return psi
+    gather, place = _pair_layout(state.sector, a, b, kind)
+    w, v = _pair_eigensystem(state.cutoff, kind)
+    units = ((v * np.exp(-1j * angle * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)).real
+    out = (units @ psi[gather].view(np.float64)).view(np.complex128)
+    return out.reshape(-1)[place]
+
+
+def _check_charge(state: FockState, a: int, b: int, kind: str) -> None:
+    """ValueError unless a pair element of `kind` on (a, b) keeps the state's
+    charge: a squeezer needs c_a + c_b = 0, a splitter c_a = c_b."""
     charges = state.sector.charges
     if charges[a] + (charges[b] if kind == _SQUEEZER else -charges[b]):
         raise ValueError(
             f"a {kind} on modes {a} and {b} of charges {charges[a]} and {charges[b]} "
             f"does not conserve the state's charge"
         )
-    psi = state.amplitudes
-    if not angle:
-        return psi
-    gather, place, levels = _pair_layout(state.sector, a, b, kind)
-    w, v = _pair_eigensystem(state.cutoff, kind)
-    units = ((v * np.exp(-1j * angle * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)).real
-    work = psi[gather]
-    if phase:
-        rotor = np.exp(1j * phase * np.arange(state.cutoff + 1))[levels]
-        work *= rotor.conj()
-    out = (units @ work.view(np.float64)).view(np.complex128)
-    if phase:
-        out *= rotor
-    return out.reshape(-1)[place]
 
 
 def _evolved(state: FockState, psi: np.ndarray) -> FockState:
@@ -390,7 +387,8 @@ def apply_phase(state: FockState, mode: int, phase: float) -> FockState:
 def apply_two_mode_squeezer(
     state: FockState, signal: int, idler: int, gain: float, pump_phase: float = 0.0
 ) -> FockState:
-    """Two-mode squeezer exp(xi a^dag b^dag - conj(xi) a b), xi = gain e^{i phase}.
+    """Two-mode squeezer exp(xi a^dag b^dag - conj(xi) a b), xi = gain e^{i phase},
+    applied as e^{i phase n_signal} exp(gain K) e^{-i phase n_signal}.
 
     Raises ValueError unless the two modes carry opposite charges, and
     LeakageError when the resulting population in the top two levels of
@@ -401,7 +399,10 @@ def apply_two_mode_squeezer(
     if gain < 0.0 or not math.isfinite(gain):
         raise ValueError(f"gain must be finite and >= 0, got {gain}")
     _check_phase(pump_phase)
-    new_state = _evolved(state, _apply_pair(state, signal, idler, _SQUEEZER, gain, pump_phase))
+    _check_charge(state, signal, idler, _SQUEEZER)
+    turned = apply_phase(state, signal, -pump_phase)
+    squeezed = FockState(state.sector, _frozen(_apply_pair(turned, signal, idler, _SQUEEZER, gain)))
+    new_state = _evolved(state, apply_phase(squeezed, signal, pump_phase).amplitudes)
     worst = leakage_report(new_state).worst
     if worst > HARD_LEAKAGE_LIMIT:
         raise LeakageError(
@@ -421,6 +422,7 @@ def apply_beam_splitter(state: FockState, mode_a: int, mode_b: int, transmittanc
     _check_state_modes(state, mode_a, mode_b)
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError(f"transmittance must lie in [0, 1], got {transmittance}")
+    _check_charge(state, mode_a, mode_b, _SPLITTER)
     kappa = math.atan2(math.sqrt(1.0 - transmittance), math.sqrt(transmittance))
     return _evolved(state, _apply_pair(state, mode_a, mode_b, _SPLITTER, kappa))
 
@@ -431,78 +433,64 @@ def leakage_report(state: FockState) -> LeakageReport:
     return LeakageReport(populations, abs(1.0 - state.norm))
 
 
-@functools.lru_cache(maxsize=8)
-def _moment_map(sector: Sector) -> tuple:
-    """(entries, starts, source, target, weight): the hop maps of <a_i^dag a_j>
-    (i < j) and <a_i a_j> (i <= j), concatenated.
+@functools.lru_cache(maxsize=32)
+def _ladder_map(sector: Sector, mode: int, create: bool) -> tuple:
+    """(target, source) for the image of the sector under a_mode, or under
+    a_mode^dag with `create`.
 
-    The moment of entry (kind, i, j), kind 0 normal and 1 anomalous, is the
-    sum over its run, from its start, of weight conj(psi[target]) psi[source]:
-    over the states s that a_j lowers to t = s - e_j and whose partner
-    t + e_i (normal) or t - e_i (anomalous) lies in the sector, with weight
-    sqrt(s_j) sqrt(t_i + 1) or sqrt(s_j) sqrt(t_i).  Entries whose partner
-    would change the charge are 0 and left out, and so is the normal
-    diagonal <N_i>, which the occupation table gives directly.
+    `target` is the sector the image lies in, of charge shifted by -c_mode
+    (+c_mode), and `source`, one per target occupation t, the index of
+    t + e_mode (t - e_mode) in the sector, or `sector.size` where that
+    occupation leaves [0, cutoff]: with a 0 appended to psi, psi[source]
+    times sqrt(t_mode + 1) (sqrt(t_mode)) is the image.
     """
-    table = _levels(sector)
-    charges, n = sector.charges, sector.n_modes
-    root = np.sqrt(np.arange(sector.cutoff + 2.0))
-    entries, runs = [], []
-    for kind, step in ((0, 1), (1, -1)):
-        for i in range(n):
-            for j in range(i + 1 - kind, n):
-                if step * charges[i] != charges[j]:
-                    continue
-                partner = table.copy()
-                partner[j] -= 1
-                partner[i] += step
-                source = np.flatnonzero(
-                    (table[j] > 0) & (partner[i] >= 0) & (partner[i] <= sector.cutoff)
-                )
-                if source.size:
-                    entries.append((kind, i, j))
-                    weight = root[table[j, source]] * root[partner[i, source] + kind]
-                    runs.append((source, _index(sector, partner[:, source]), weight))
-    sizes = [run[0].size for run in runs]
-    starts = np.cumsum([0] + sizes)[:-1]
-    source, target, weight = (
-        np.concatenate([run[k] for run in runs]) if runs else np.zeros(0, dtype)
-        for k, dtype in enumerate((np.intp, np.intp, np.float64))
-    )
-    entries = tuple(np.array(column, dtype=np.intp) for column in zip(*entries)) if entries else ()
-    for cached in (starts, source, target, weight, *entries):
-        cached.setflags(write=False)
-    return entries, starts, source, target, weight
+    step = -1 if create else 1
+    target = Sector(sector.cutoff, sector.charges, sector.charge - step * sector.charges[mode])
+    occupations = _levels(target).copy()
+    occupations[mode] += step
+    inside = (occupations[mode] >= 0) & (occupations[mode] <= sector.cutoff)
+    source = np.full(target.size, sector.size, dtype=np.intp)
+    source[inside] = _index(sector, occupations[:, inside])
+    source.setflags(write=False)
+    return target, source
 
 
 def _second_moments(state: FockState) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
-    """Normal and anomalous moment matrices from the hop maps, unchecked."""
-    entries, starts, source, target, weight = _moment_map(state.sector)
-    psi = state.amplitudes
+    """Normal and anomalous moment matrices from the ladder images, unchecked.
+
+    Two images pair when they lie in the same sector, which, as all sectors
+    here share the cutoff and charges, is when their charges agree."""
+    psi = np.append(state.amplitudes, 0.0)
+    root = np.sqrt(np.arange(state.cutoff + 2.0))
     n = state.n_modes
+    images = {}
+    for create in (False, True):
+        weights = root if create else root[1:]
+        for mode in range(n):
+            target, source = _ladder_map(state.sector, mode, create)
+            images[create, mode] = target.charge, psi[source] * weights[_levels(target)[mode]]
     moments = np.zeros((2, n, n), dtype=np.complex128)
-    if starts.size:
-        terms = psi[target]
-        np.conjugate(terms, out=terms)
-        terms *= psi[source]
-        terms *= weight
-        moments[entries] = np.add.reduceat(terms, starts)
+    for kind, create in enumerate((False, True)):
+        for i in range(n):
+            for j in range(i, n):
+                (bra_charge, bra), (ket_charge, ket) = images[create, i], images[False, j]
+                if bra_charge == ket_charge:
+                    moments[kind, i, j] = value = np.vdot(bra, ket)
+                    moments[kind, j, i] = value if create else value.conjugate()
     normal, anomalous = moments
-    normal += normal.conj().T
-    np.fill_diagonal(normal, _weighted_levels(state).sum(axis=1))
-    anomalous += np.triu(anomalous, 1).T
+    np.fill_diagonal(normal, normal.diagonal().real)
     return normal, anomalous
 
 
 def cross_correlation(state: FockState, mode_a: int, mode_b: int) -> complex:
-    """<a_i^dag a_j>, one entry of the hop sums of `moment_matrices`."""
+    """<a_i^dag a_j>, one entry of `moment_matrices`."""
     _check_state_modes(state, mode_a)
     _check_state_modes(state, mode_b)
     return complex(_second_moments(state)[0][mode_a, mode_b])
 
 
 def pair_correlation(state: FockState, mode_a: int, mode_b: int) -> complex:
-    """<a_i a_j>, one entry of the hop sums of `moment_matrices`."""
+    """<a_i a_j>, one entry of `moment_matrices`."""
     _check_state_modes(state, mode_a)
     _check_state_modes(state, mode_b)
     return complex(_second_moments(state)[1][mode_a, mode_b])
@@ -511,12 +499,12 @@ def pair_correlation(state: FockState, mode_a: int, mode_b: int) -> complex:
 def moment_matrices(state: FockState) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
     """All second moments: normal <a_i^dag a_j> and anomalous <a_i a_j>, each (n, n).
 
-    Off-diagonal normal moments and all anomalous ones are weighted sums
-    over the sector's cached hop maps, one per upper-triangle entry; the
-    normal matrix is Hermitian and the anomalous one symmetric, so the lower
-    triangles are copies, and the normal diagonal <N_i> is |psi|^2 times
-    the occupation table.  Raises LeakageError for a state flagged
-    unreliable.
+    Each upper-triangle entry is one inner product of ladder images,
+    <a_i psi|a_j psi> or <a_i^dag psi|a_j psi>, 0 where the two lie in
+    different sectors (the moment would change the charge); the normal
+    matrix is Hermitian, with a real diagonal, and the anomalous one
+    symmetric, so the lower triangles are copies.  Raises LeakageError for a
+    state flagged unreliable.
     """
     _check_reliable(state)
     return _second_moments(state)
@@ -531,7 +519,8 @@ def number_moments(state: FockState) -> tuple[NDArray[np.float64], NDArray[np.fl
     LeakageError for a state flagged unreliable.
     """
     _check_reliable(state)
-    weighted, levels = _weighted_levels(state), _levels(state.sector)
+    levels = _levels(state.sector)
+    weighted = levels * (np.abs(state.amplitudes) ** 2)
     means = weighted.sum(axis=1)
     rows, cols = np.triu_indices(state.n_modes)
     products = np.empty((state.n_modes, state.n_modes))

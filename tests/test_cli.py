@@ -302,6 +302,21 @@ def test_figure_visibility_optimal_equals_coherence(tmp_path, capsys):
     assert [line.split(",")[1] for line in opt] == [line.split(",")[1] for line in coh]
 
 
+@pytest.mark.parametrize("figure", ["coherence", "snr"])
+@pytest.mark.parametrize("gain", ["nan", "inf", "-3"])
+def test_figure_rejects_unphysical_gains(figure, gain, tmp_path, capsys):
+    """A brightness must be finite and >= 0, as `SetupParams` requires; the
+    usage error names the value, and no curve or output directory is made."""
+    curves = tmp_path / "curves"
+    code, out, err = run(
+        capsys, "figure", figure, "--out", str(curves), "--resolution", "5", f"--gains=1,{gain}"
+    )
+    assert code == 1
+    assert out == ""
+    assert repr(gain) in err
+    assert not curves.exists()
+
+
 def test_figure_snr_files(tmp_path, capsys):
     code, out, _ = run(
         capsys, "figure", "snr", "--out", str(tmp_path), "--resolution", "5", "--gains", "1,10"

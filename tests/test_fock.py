@@ -151,8 +151,9 @@ def _dense_pair_unitary(d, kind, angle, phase):
 def test_pair_unitary_matches_dense_exponential(kind, angle, phase):
     """Every conserved-number block is evolved, on a full-space state populating
     all of them.  The splitter goes through `apply_beam_splitter`; the squeezer
-    through the pair kernel it shares with `apply_two_mode_squeezer`, whose
-    leakage check refuses any state with population in the top levels."""
+    through the phase shifts and pair kernel that `apply_two_mode_squeezer`
+    composes, as its leakage check refuses any state with population in the
+    top levels."""
     rng = np.random.default_rng(5)
     d = 6
     psi = rng.normal(size=(d,) * 3) + 1j * rng.normal(size=(d,) * 3)
@@ -164,7 +165,9 @@ def test_pair_unitary_matches_dense_exponential(kind, angle, phase):
     if kind == fock._SPLITTER:
         got = fock.apply_beam_splitter(state, 2, 0, math.cos(angle) ** 2)
     else:
-        got = fock.FockState(state.sector, fock._apply_pair(state, 2, 0, kind, angle, phase))
+        turned = fock.apply_phase(state, 2, -phase)
+        squeezed = fock.FockState(state.sector, fock._apply_pair(turned, 2, 0, kind, angle))
+        got = fock.apply_phase(squeezed, 2, phase)
     np.testing.assert_allclose(got.to_dense(), expected, rtol=0, atol=1e-12)
 
 
@@ -477,6 +480,51 @@ def test_nonzero_charge_sector_matches_full_space():
     ):
         charged, full = step(charged), step(full)
         np.testing.assert_array_equal(charged.to_dense(), full.to_dense())
+
+
+@pytest.mark.parametrize("charge", [0, 1])
+def test_charged_sector_moments_match_full_space(charge):
+    """Random amplitudes on a sector of charges (1, -1, 0): every ladder image
+    leaves it, and mode 2's anomalous diagonal <a_2 a_2> pairs two images in
+    the sector itself.  The moments equal those of the full-space embedding."""
+    rng = np.random.default_rng(41 + charge)
+    sector = fock.Sector(6, (1, -1, 0), charge)
+    amps = rng.normal(size=sector.size) + 1j * rng.normal(size=sector.size)
+    state = fock.FockState(sector, amps / np.linalg.norm(amps))
+    full = _full_space_state(state.to_dense())
+    pairs = zip(
+        fock.moment_matrices(state) + fock.number_moments(state),
+        fock.moment_matrices(full) + fock.number_moments(full),
+    )
+    for sector_moment, full_moment in pairs:
+        np.testing.assert_allclose(sector_moment, full_moment, rtol=0, atol=1e-14)
+    assert abs(fock.pair_correlation(state, 2, 2)) > 0.01
+
+
+def test_ladder_image_in_an_empty_sector_is_zero():
+    """With charges (1, 1) the vacuum is the only charge-0 occupation, and a_i
+    maps it to the empty sector of charge -1: every moment is 0.  No state
+    lives in an empty sector."""
+    normal, anomalous = fock.moment_matrices(fock.vacuum(2, 3, charges=(1, 1)))
+    assert not normal.any() and not anomalous.any()
+    with pytest.raises(ValueError, match="no occupation"):
+        fock.FockState(fock.Sector(3, (1, 1), -1), np.zeros(0))
+
+
+def test_full_space_moments_stay_below_50_mb():
+    """Second moments of a full-support state on the full 5-mode cutoff-9
+    space (1.6 MB of amplitudes), cold caches included, peak below 50 MB."""
+    for cached in vars(fock).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    state = _full_space_state(_full_support_state(np.random.default_rng(43), 5, 9))
+    tracemalloc.start()
+    try:
+        fock.moment_matrices(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 def test_elements_that_change_the_charge_are_refused():
