@@ -15,7 +15,6 @@ from .bogoliubov import (
     beam_splitter,
     chain,
     compose,
-    identity,
     phase_shifter,
     two_mode_squeezer,
     validate,
@@ -63,7 +62,6 @@ __all__ = [
     "fringe_phase",
     "fringe_scan",
     "fringe_visibility",
-    "identity",
     "induced_coherence",
     "moments_from_map",
     "number_covariance",

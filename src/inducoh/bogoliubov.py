@@ -64,10 +64,6 @@ class ValidationReport:
             and self.symmetry_residual <= DEFAULT_TOLERANCE
         )
 
-    @property
-    def worst(self) -> float:
-        return max(self.commutator_residual, self.symmetry_residual)
-
 
 def _check_modes(n_modes: int, *modes: int) -> None:
     if n_modes < 1:
@@ -82,12 +78,6 @@ def _check_modes(n_modes: int, *modes: int) -> None:
 def _check_phase(phase: float) -> None:
     if not math.isfinite(phase):
         raise ValueError(f"phase must be finite, got {phase}")
-
-
-def identity(n_modes: int) -> GaussianMap:
-    """The do-nothing transform: U = 1, V = 0."""
-    _check_modes(n_modes)
-    return GaussianMap(np.eye(n_modes), np.zeros((n_modes, n_modes)))
 
 
 def two_mode_squeezer(

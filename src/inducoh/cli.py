@@ -1,7 +1,9 @@
 """Command-line interface: sweeps, figure data, optimization, validation.
 
 Exit codes: 0 on success (including a reported-but-infeasible
-optimization), 1 on usage errors, 2 when a validation suite fails.
+optimization), 1 on usage errors, on inputs the closed forms cannot
+evaluate and on an unwritable output path, 2 when a validation suite
+fails.
 
 Identical arguments (and seed) give byte-identical stdout.  sweep,
 figure and optimize print every number with 12 significant digits;
@@ -272,12 +274,7 @@ def _print_suite(result: validation.SuiteResult) -> None:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    if args.samples < 1:
-        raise _UsageError(f"--samples must be >= 1, got {args.samples}")
-    if args.cutoff < 1:
-        raise _UsageError(f"--cutoff must be >= 1, got {args.cutoff}")
-    if args.r_max <= 0.0:
-        raise _UsageError(f"--r-max must be > 0, got {args.r_max}")
+    validation.check_oracle_arguments(args.samples, args.cutoff, args.r_max)
     # each suite is printed as soon as it is done, so an oracle refusal
     # still leaves the closed-form result on stdout
     results = [validation.closed_form_suite(seed=args.seed)]
@@ -348,7 +345,8 @@ def _build_parser() -> _Parser:
 
     val = sub.add_parser("validate", help="run the dual-path validation suites")
     val.add_argument(
-        "--samples", type=int, default=50, help="oracle suite sample count (default %(default)s)"
+        "--samples", type=int, default=validation.DEFAULT_SAMPLES,
+        help="oracle suite sample count (default %(default)s)",
     )
     val.add_argument(
         "--seed", type=int, default=validation.DEFAULT_SEED, help="RNG seed (default %(default)s)"
@@ -378,10 +376,7 @@ def main(argv=None) -> int:
             command.set_defaults(**_check_choices(config, command))
             args = parser.parse_args(argv)
         return args.run(args)
-    except _UsageError as exc:
-        sys.stderr.write(f"inducoh: error: {exc}\n")
-        return 1
-    except ValueError as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         sys.stderr.write(f"inducoh: error: {exc}\n")
         return 1
 

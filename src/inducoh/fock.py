@@ -31,8 +31,10 @@ one batched matmul applies the element.  A pump phase theta is no part of
 the pair unitary: the squeezer is e^{i theta n_a} exp(r K) e^{-i theta n_a},
 two phase shifts around the bare element.  The truncated evolution is
 exactly unitary, so truncation error shows up as population near the
-cutoff, which `leakage_report` exposes and `moment_matrices` and
-`number_moments` refuse to ignore.
+cutoff: `leakage_report` gives each mode's population in its top two
+levels, a squeezer refuses a state where one exceeds HARD_LEAKAGE_LIMIT,
+and `moment_matrices` and `number_moments` refuse a state flagged
+unreliable.
 
 Second moments are inner products of ladder images, <a_i^dag a_j> =
 <a_i psi|a_j psi> and <a_i a_j> = <a_i^dag psi|a_j psi>.  a_j moves a state
@@ -60,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .model import FULL, PHASE, SPLIT, SQUEEZE, SetupParams, network
+from .model import PHASE, SPLIT, SQUEEZE, SetupParams, network
 
 # A moment weighted by N^k errs by up to about cutoff^k times the top-level
 # population: at cutoff 12, ~25 times it for second moments and ~115 times for
@@ -68,24 +70,10 @@ from .model import FULL, PHASE, SPLIT, SQUEEZE, SetupParams, network
 # oracle's 1e-6 tolerance.
 UNRELIABLE_TOP_POPULATION = 5e-9
 HARD_LEAKAGE_LIMIT = 1e-4
-_SQUEEZER = "squeezer"
-_SPLITTER = "splitter"
 
 
 class LeakageError(RuntimeError):
     """Raised when truncation leakage makes oracle output untrustworthy."""
-
-
-@dataclass(frozen=True)
-class LeakageReport:
-    """Population stuck near the cutoff, per mode, plus lost norm."""
-
-    top_two_population: NDArray[np.float64]
-    norm_deficit: float
-
-    @property
-    def worst(self) -> float:
-        return float(self.top_two_population.max())
 
 
 @dataclass(frozen=True)
@@ -153,10 +141,6 @@ class FockState:
     @property
     def n_modes(self) -> int:
         return self.sector.n_modes
-
-    @property
-    def norm(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
     @property
     def unreliable(self) -> bool:
@@ -291,7 +275,7 @@ def _pair_eigensystem(cutoff: int, kind: str) -> tuple:
     v = np.zeros((2 * cutoff + 1, d, d), dtype=np.complex128)
     for block in range(2 * cutoff + 1):
         n_a = np.arange(max(0, block - cutoff), min(block, cutoff) + 1)
-        if kind == _SQUEEZER:
+        if kind == SQUEEZE:
             weight = root[n_a[:-1]] * root[n_a[:-1] - block + cutoff]
         else:
             weight = root[n_a[:-1]] * root[block - n_a[:-1] - 1]
@@ -318,7 +302,7 @@ def _pair_layout(sector: Sector, a: int, b: int, kind: str) -> tuple:
     cutoff, n = sector.cutoff, sector.n_modes
     d = cutoff + 1
     n_a, n_b = table[a], table[b]
-    block = n_a - n_b + cutoff if kind == _SQUEEZER else n_a + n_b
+    block = n_a - n_b + cutoff if kind == SQUEEZE else n_a + n_b
     level = n_a - np.maximum(block - cutoff, 0)
     span = d ** (n - 2)
     others = d ** np.arange(n - 3, -1, -1) @ np.delete(table, (a, b), axis=0)
@@ -359,9 +343,9 @@ def _check_charge(state: FockState, a: int, b: int, kind: str) -> None:
     """ValueError unless a pair element of `kind` on (a, b) keeps the state's
     charge: a squeezer needs c_a + c_b = 0, a splitter c_a = c_b."""
     charges = state.sector.charges
-    if charges[a] + (charges[b] if kind == _SQUEEZER else -charges[b]):
+    if charges[a] + (charges[b] if kind == SQUEEZE else -charges[b]):
         raise ValueError(
-            f"a {kind} on modes {a} and {b} of charges {charges[a]} and {charges[b]} "
+            f"a {kind} element on modes {a} and {b} of charges {charges[a]} and {charges[b]} "
             f"does not conserve the state's charge"
         )
 
@@ -399,11 +383,11 @@ def apply_two_mode_squeezer(
     if gain < 0.0 or not math.isfinite(gain):
         raise ValueError(f"gain must be finite and >= 0, got {gain}")
     _check_phase(pump_phase)
-    _check_charge(state, signal, idler, _SQUEEZER)
+    _check_charge(state, signal, idler, SQUEEZE)
     turned = apply_phase(state, signal, -pump_phase)
-    squeezed = FockState(state.sector, _frozen(_apply_pair(turned, signal, idler, _SQUEEZER, gain)))
+    squeezed = FockState(state.sector, _frozen(_apply_pair(turned, signal, idler, SQUEEZE, gain)))
     new_state = _evolved(state, apply_phase(squeezed, signal, pump_phase).amplitudes)
-    worst = leakage_report(new_state).worst
+    worst = leakage_report(new_state).max()
     if worst > HARD_LEAKAGE_LIMIT:
         raise LeakageError(
             f"top-two-level population {worst:.3e} exceeds {HARD_LEAKAGE_LIMIT:.0e} "
@@ -422,15 +406,14 @@ def apply_beam_splitter(state: FockState, mode_a: int, mode_b: int, transmittanc
     _check_state_modes(state, mode_a, mode_b)
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError(f"transmittance must lie in [0, 1], got {transmittance}")
-    _check_charge(state, mode_a, mode_b, _SPLITTER)
+    _check_charge(state, mode_a, mode_b, SPLIT)
     kappa = math.atan2(math.sqrt(1.0 - transmittance), math.sqrt(transmittance))
-    return _evolved(state, _apply_pair(state, mode_a, mode_b, _SPLITTER, kappa))
+    return _evolved(state, _apply_pair(state, mode_a, mode_b, SPLIT, kappa))
 
 
-def leakage_report(state: FockState) -> LeakageReport:
-    """Per-mode population in the top two levels, plus the norm deficit."""
-    populations = _populations(state.amplitudes, _top_levels(state.sector)[1], state.n_modes)
-    return LeakageReport(populations, abs(1.0 - state.norm))
+def leakage_report(state: FockState) -> NDArray[np.float64]:
+    """Per-mode population in the top two levels, shape (n_modes,)."""
+    return _populations(state.amplitudes, _top_levels(state.sector)[1], state.n_modes)
 
 
 @functools.lru_cache(maxsize=32)
@@ -553,14 +536,14 @@ def _charges(n_modes: int, elements: list[tuple]) -> tuple[int, ...]:
     return tuple(charges)
 
 
-def simulate_network(params: SetupParams, cutoff: int, cut: str = FULL) -> FockState:
+def simulate_network(params: SetupParams, cutoff: int) -> FockState:
     """Run `model.network` from vacuum in truncated Fock space.
 
     Same elements and mode layout as the Gaussian engine's
     `model.build_network`, computed entirely through Fock-space unitaries
     on the vacuum's charge sector.
     """
-    n, elements = network(params, cut)
+    n, elements = network(params)
     # looked up per call, not at import, so rebinding a module attribute
     # (as a tracer does) reaches the propagation
     apply = {SQUEEZE: apply_two_mode_squeezer, PHASE: apply_phase, SPLIT: apply_beam_splitter}

@@ -197,8 +197,9 @@ def build_network(params: SetupParams, cut: str = FULL) -> GaussianMap:
 
 
 def _no_overflow(value: float, params: SetupParams) -> float:
-    """`value`, unless a product of the (finite) inputs overflowed to inf."""
-    if math.isinf(value):
+    """`value`, unless a product of the (finite) inputs overflowed to inf, or
+    to NaN where an inf meets a zero factor."""
+    if not math.isfinite(value):
         raise ValueError(f"closed forms overflow at va={params.va:g}, vb_eff={params.vb_effective:g}")
     return value
 

@@ -97,8 +97,3 @@ def difference_statistics(moments: MomentSet, mode_i: int, mode_j: int) -> tuple
     cov = number_covariance(moments)
     var = float(cov[mode_i, mode_i] + cov[mode_j, mode_j] - 2.0 * cov[mode_i, mode_j])
     return mean, var
-
-
-def total_photons(moments: MomentSet) -> float:
-    """Total mean photon number over all output modes."""
-    return _real(complex(np.trace(moments.normal)), "total photon number")

@@ -29,6 +29,8 @@ from . import fock, model, moments
 
 CLOSED_FORM_TOLERANCE = 1e-9
 ORACLE_TOLERANCE = 1e-6
+CLOSED_FORM_SAMPLES = 200
+DEFAULT_SAMPLES = 50
 DEFAULT_SEED = 1234
 DEFAULT_CUTOFF = 12
 DEFAULT_R_MAX = 0.6
@@ -98,17 +100,19 @@ def closed_form_residual(params: model.SetupParams) -> float:
     return max(residuals)
 
 
-def closed_form_suite(samples: int = 200, seed: int = DEFAULT_SEED) -> SuiteResult:
-    """Engine vs. closed forms over a random grid."""
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+def closed_form_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
+    """Engine vs. closed forms over CLOSED_FORM_SAMPLES random configurations."""
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(CLOSED_FORM_SAMPLES):
         worst = max(worst, closed_form_residual(random_setup(rng)))
     return SuiteResult(
-        "closed-form vs engine", samples, worst, CLOSED_FORM_TOLERANCE, time.perf_counter() - start
+        "closed-form vs engine",
+        CLOSED_FORM_SAMPLES,
+        worst,
+        CLOSED_FORM_TOLERANCE,
+        time.perf_counter() - start,
     )
 
 
@@ -128,8 +132,24 @@ def oracle_residual(params: model.SetupParams, cutoff: int) -> float | None:
     return float(max(np.abs(residual).max() for residual in residuals))
 
 
+def check_oracle_arguments(samples: int, cutoff: int, r_max: float) -> None:
+    """ValueError unless `oracle_suite` can run with these arguments: at least
+    one sample, a cutoff >= 1, and a finite r_max > 0 whose brightness
+    sinh(r_max)^2 is a finite float."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    try:
+        brightness = math.sinh(r_max) ** 2
+    except OverflowError:
+        brightness = math.inf
+    if not (r_max > 0.0 and math.isfinite(brightness)):
+        raise ValueError(f"r_max must be > 0 with a finite sinh(r_max)^2, got {r_max}")
+
+
 def oracle_suite(
-    samples: int = 50,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
     cutoff: int = DEFAULT_CUTOFF,
     r_max: float = DEFAULT_R_MAX,
@@ -140,12 +160,7 @@ def oracle_suite(
     the cutoff is so small that certified configurations are too rare to
     collect, which is the actionable "increase the cutoff" case.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    if not 0.0 < r_max:
-        raise ValueError(f"r_max must be > 0, got {r_max}")
+    check_oracle_arguments(samples, cutoff, r_max)
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     worst = 0.0

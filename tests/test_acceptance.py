@@ -28,7 +28,7 @@ def criterion_grid(samples: int = 200):
 def test_criterion_1_closed_form_engine_duality():
     """Counts, scan visibility, coherence and difference statistics agree
     between the matrix engine and the closed forms at 1e-9 relative."""
-    result = validation.closed_form_suite(samples=200)
+    result = validation.closed_form_suite()
     assert result.tolerance == 1e-9
     assert result.passed, result.summary()
     assert result.runtime < 5.0, f"duality suite took {result.runtime:.1f} s"

@@ -227,12 +227,17 @@ def test_config_values_reach_their_subcommands(tmp_path, capsys):
         ["figure", "nosuch"],
         [],
         ["sweep", "t"],  # no grid from a flag or a config
+        # refused before either validation suite runs
+        ["validate", "--r-max", "nan"],
+        ["validate", "--r-max", "inf"],
+        ["validate", "--r-max", "400"],  # sinh(400)^2 overflows a float
     ],
 )
 def test_usage_errors_exit_one(argv, capsys):
-    code = main(argv)
-    capsys.readouterr()
+    code, out, err = run(capsys, *argv)
     assert code == 1
+    assert out == ""
+    assert err.startswith("inducoh: error:")
 
 
 def test_domain_errors_exit_one(capsys):
@@ -248,6 +253,33 @@ def test_overflowing_sweep_exits_one(capsys):
     assert code == 1
     assert out == ""
     assert "overflow" in err
+
+
+def test_optimize_refuses_an_overflow_times_zero(capsys):
+    """(1 + va) va vb_star overflows to inf and t = 0 turns that into NaN,
+    which used to print as `visibility = nan` with exit 0."""
+    code, out, err = run(capsys, "optimize", "--va", "1e200", "--t", "0")
+    assert code == 1
+    assert out == ""
+    assert "overflow" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "t", "--grid", "0:1:3", "--out", "{blocker}/x.csv"],
+        ["figure", "coherence", "--resolution", "3", "--out", "{blocker}/sub"],
+    ],
+)
+def test_unwritable_out_path_is_an_error(argv, tmp_path, capsys):
+    """An output path below a regular file is reported, not a traceback."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run(capsys, *(arg.format(blocker=blocker) for arg in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("inducoh: error:")
+    assert str(blocker) in err
 
 
 def test_optimize_text_report(capsys):

@@ -131,6 +131,22 @@ def test_visibility_zero_cases():
     assert model.visibility(model.SetupParams(va=0, vb=0, t=1)) == 0.0
 
 
+@pytest.mark.parametrize("t, t2", [(0.0, 1.0), (1.0, 0.0)])
+def test_an_overflow_times_zero_is_refused_not_nan(t, t2):
+    """(1 + va) va overflows to inf, and a zero t or vb_eff turns the fringe's
+    product into NaN, which the closed forms used to return."""
+    params = model.SetupParams(va=1e200, vb=1e200, t=t, t2=t2)
+    for closed_form in (
+        model.detector_counts,
+        model.visibility,
+        model.n_minus_statistics,
+        model.snr,
+        model.observables,
+    ):
+        with pytest.raises(ValueError, match="overflow"):
+            closed_form(params)
+
+
 def test_visibility_uses_attenuated_brightness():
     direct = model.visibility(model.SetupParams(va=1, vb=0.5, t=0.8))
     attenuated = model.visibility(model.SetupParams(va=1, vb=2.0, t=0.8, t2=0.25))

@@ -37,7 +37,7 @@ def random_network(rng: np.random.Generator, depth: int = 6) -> bg.GaussianMap:
 
 
 def test_identity_map_gives_vacuum_moments():
-    ms = moments.moments_from_map(bg.identity(3))
+    ms = moments.moments_from_map(bg.phase_shifter(3, 0, 0.0))
     assert np.all(ms.normal == 0)
     assert np.all(ms.anomalous == 0)
     assert moments.number_mean(ms, 0) == 0.0
@@ -164,7 +164,7 @@ def test_moments_from_map_rejects_corrupted_map():
 
 
 def test_index_validation():
-    ms = moments.moments_from_map(bg.identity(3))
+    ms = moments.moments_from_map(bg.phase_shifter(3, 0, 0.0))
     with pytest.raises(ValueError):
         moments.number_mean(ms, 3)
     with pytest.raises(ValueError):
