@@ -52,17 +52,12 @@ def _fmt(value: float) -> str:
     return _FLOAT_FMT.format(float(value))
 
 
-def _subcommands(parser: argparse.ArgumentParser) -> dict:
-    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return action.choices
-
-
-def _config_types(parser: argparse.ArgumentParser) -> dict:
+def _config_types(commands: dict) -> dict:
     """Config keys and their converters: the optional flags of every
     subcommand, except --help and --config, with their argparse types."""
     return {
         action.dest: action.type or str
-        for command in _subcommands(parser).values()
+        for command in commands.values()
         for action in command._actions
         if action.option_strings and action.dest not in ("help", "config")
     }
@@ -135,9 +130,15 @@ def _parse_gains(text: str) -> list[float]:
         raise _UsageError(f"bad gains list {text!r}: {exc}") from exc
     if not gains:
         raise _UsageError("gains list is empty")
+    # a gain names its curves' files by `va{gain:g}`; two alike would overwrite
+    named = {}
     for token, gain in zip(tokens, gains):
         if not (math.isfinite(gain) and gain >= 0.0):
             raise _UsageError(f"gain {token!r} must be finite and >= 0")
+        name = f"va{gain:g}"
+        if name in named:
+            raise _UsageError(f"gains {named[name]!r} and {token!r} would both write files {name}")
+        named[name] = token
     return gains
 
 
@@ -242,14 +243,15 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     va, t = args.va, args.t
     vb_star = model.optimize_vb(va, t)
     optimal = model.SetupParams(va=va, vb=vb_star, t=t, theta_a=2.0 * args.phi, pulses=args.pulses)
+    obs = model.observables(optimal)
     record: dict = {
         "va": va,
         "t": t,
         "vb_star": vb_star,
-        "visibility": model.visibility(optimal),
-        "gamma12": model.induced_coherence(optimal),
-        "snr": model.snr(optimal),
-        "snr_multipulse": model.snr_multipulse(optimal),
+        "visibility": obs.visibility,
+        "gamma12": obs.gamma12,
+        "snr": obs.snr,
+        "snr_multipulse": obs.snr_multipulse,
     }
     if args.vb is not None:
         t2_star = model.optimize_t2(va, args.vb, t)
@@ -304,7 +306,8 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pulses", type=int, default=1, help="pulses averaged per measurement")
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict]:
+    """The parser and its subcommand parsers by name."""
     parser = _Parser(prog="inducoh", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser, required=True)
 
@@ -362,17 +365,17 @@ def _build_parser() -> _Parser:
     val.add_argument("--config", help="key=value config file; flags override it")
     val.set_defaults(run=_cmd_validate)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
             # config values become the running subcommand's defaults, so flags win
-            command = _subcommands(parser)[args.command]
-            config = _load_config(args.config, _config_types(parser))
+            command = commands[args.command]
+            config = _load_config(args.config, _config_types(commands))
             command.set_defaults(**_check_choices(config, command))
             args = parser.parse_args(argv)
         return args.run(args)

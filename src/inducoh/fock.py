@@ -33,8 +33,9 @@ two phase shifts around the bare element.  The truncated evolution is
 exactly unitary, so truncation error shows up as population near the
 cutoff: `leakage_report` gives each mode's population in its top two
 levels, a squeezer refuses a state where one exceeds HARD_LEAKAGE_LIMIT,
-and `moment_matrices` and `number_moments` refuse a state flagged
-unreliable.
+and every moment read refuses a state flagged unreliable: `moment_matrices`,
+its single entries `cross_correlation` and `pair_correlation`, and
+`number_moments`.
 
 Second moments are inner products of ladder images, <a_i^dag a_j> =
 <a_i psi|a_j psi> and <a_i a_j> = <a_i^dag psi|a_j psi>.  a_j moves a state
@@ -438,11 +439,18 @@ def _ladder_map(sector: Sector, mode: int, create: bool) -> tuple:
     return target, source
 
 
-def _second_moments(state: FockState) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
-    """Normal and anomalous moment matrices from the ladder images, unchecked.
+def moment_matrices(state: FockState) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
+    """All second moments: normal <a_i^dag a_j> and anomalous <a_i a_j>, each (n, n).
 
-    Two images pair when they lie in the same sector, which, as all sectors
-    here share the cutoff and charges, is when their charges agree."""
+    Each upper-triangle entry is one inner product of ladder images,
+    <a_i psi|a_j psi> or <a_i^dag psi|a_j psi>, 0 where the two lie in
+    different sectors (the moment would change the charge); as all sectors
+    here share the cutoff and charges, two images share a sector when their
+    charges agree.  The normal matrix is Hermitian, with a real diagonal,
+    and the anomalous one symmetric, so the lower triangles are copies.
+    Raises LeakageError for a state flagged unreliable.
+    """
+    _check_reliable(state)
     psi = np.append(state.amplitudes, 0.0)
     root = np.sqrt(np.arange(state.cutoff + 2.0))
     n = state.n_modes
@@ -466,31 +474,17 @@ def _second_moments(state: FockState) -> tuple[NDArray[np.complex128], NDArray[n
 
 
 def cross_correlation(state: FockState, mode_a: int, mode_b: int) -> complex:
-    """<a_i^dag a_j>, one entry of `moment_matrices`."""
+    """<a_i^dag a_j>, one entry of `moment_matrices`, which refuses a flagged state."""
     _check_state_modes(state, mode_a)
     _check_state_modes(state, mode_b)
-    return complex(_second_moments(state)[0][mode_a, mode_b])
+    return complex(moment_matrices(state)[0][mode_a, mode_b])
 
 
 def pair_correlation(state: FockState, mode_a: int, mode_b: int) -> complex:
-    """<a_i a_j>, one entry of `moment_matrices`."""
+    """<a_i a_j>, one entry of `moment_matrices`, which refuses a flagged state."""
     _check_state_modes(state, mode_a)
     _check_state_modes(state, mode_b)
-    return complex(_second_moments(state)[1][mode_a, mode_b])
-
-
-def moment_matrices(state: FockState) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
-    """All second moments: normal <a_i^dag a_j> and anomalous <a_i a_j>, each (n, n).
-
-    Each upper-triangle entry is one inner product of ladder images,
-    <a_i psi|a_j psi> or <a_i^dag psi|a_j psi>, 0 where the two lie in
-    different sectors (the moment would change the charge); the normal
-    matrix is Hermitian, with a real diagonal, and the anomalous one
-    symmetric, so the lower triangles are copies.  Raises LeakageError for a
-    state flagged unreliable.
-    """
-    _check_reliable(state)
-    return _second_moments(state)
+    return complex(moment_matrices(state)[1][mode_a, mode_b])
 
 
 def number_moments(state: FockState) -> tuple[NDArray[np.float64], NDArray[np.float64]]:

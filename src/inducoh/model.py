@@ -62,6 +62,8 @@ SPLIT = "split"
 
 _DETECTION = (SPLIT, SIGNAL_A, SIGNAL_B, 0.5)
 
+SCAN_POINTS = 32
+
 
 @dataclass(frozen=True)
 class SetupParams:
@@ -515,13 +517,11 @@ def fringe_visibility(rows) -> float:
     return (top - bottom) / (top + bottom)
 
 
-def aligned_scan(params: SetupParams, points: int = 32) -> np.ndarray:
-    """A full-period scan grid whose points include the fringe extrema.
+def aligned_scan(params: SetupParams) -> np.ndarray:
+    """A full-period scan grid of SCAN_POINTS phases that include the fringe extrema.
 
     The counts vary as cos(2 phi + alpha), so a uniform grid starting at
-    alpha = -2 phi hits the maximum exactly and, for even `points`, the
-    minimum as well.
+    alpha = -2 phi hits the maximum exactly and, as SCAN_POINTS is even,
+    the minimum as well.
     """
-    if points < 2 or points % 2:
-        raise ValueError(f"points must be even and >= 2, got {points}")
-    return -params.fringe_2phi + np.arange(points) * (2.0 * math.pi / points)
+    return -params.fringe_2phi + np.arange(SCAN_POINTS) * (2.0 * math.pi / SCAN_POINTS)

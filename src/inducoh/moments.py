@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .bogoliubov import GaussianMap, _check_modes, validate
+from .bogoliubov import GaussianMap, _check_modes, _frozen, validate
 
 _IMAG_TOL = 1e-12
 
@@ -32,12 +32,8 @@ class MomentSet:
     anomalous: NDArray[np.complex128]
 
     def __post_init__(self) -> None:
-        normal = np.array(self.normal, dtype=np.complex128)
-        anomalous = np.array(self.anomalous, dtype=np.complex128)
-        normal.setflags(write=False)
-        anomalous.setflags(write=False)
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "anomalous", anomalous)
+        object.__setattr__(self, "normal", _frozen(self.normal))
+        object.__setattr__(self, "anomalous", _frozen(self.anomalous))
 
     @property
     def n_modes(self) -> int:

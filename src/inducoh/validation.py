@@ -82,20 +82,20 @@ def random_setup(rng: np.random.Generator, brightness_max: float = 10.0) -> mode
 def closed_form_residual(params: model.SetupParams) -> float:
     """Worst relative deviation between engine and closed forms at one point.
 
-    Covers both detector counts, the visibility of a 32-point fringe
-    scan, the arm coherence and the difference-count mean and variance.
+    Covers both detector counts, the visibility of a `model.SCAN_POINTS`
+    fringe scan, the arm coherence and the difference-count mean and
+    variance, each read from one `model.observables`.
     """
     eng = model.engine_observables(params)
-    n1, n2 = model.detector_counts(params)
-    diff_mean, diff_var = model.n_minus_statistics(params)
+    closed = model.observables(params)
     scan = model.fringe_scan(params, model.aligned_scan(params))
     residuals = (
-        _relative(eng.n1_det, n1),
-        _relative(eng.n2_det, n2),
-        _relative(model.fringe_visibility(scan), model.visibility(params)),
-        _relative(eng.gamma12, model.induced_coherence(params)),
-        _relative(eng.n_minus_mean, diff_mean),
-        _relative(eng.n_minus_var, diff_var),
+        _relative(eng.n1_det, closed.n1_det),
+        _relative(eng.n2_det, closed.n2_det),
+        _relative(model.fringe_visibility(scan), closed.visibility),
+        _relative(eng.gamma12, closed.gamma12),
+        _relative(eng.n_minus_mean, closed.n_minus_mean),
+        _relative(eng.n_minus_var, closed.n_minus_var),
     )
     return max(residuals)
 
@@ -157,8 +157,8 @@ def oracle_suite(
     """Fock oracle vs. Gaussian engine over random certified configurations.
 
     Gains are drawn uniformly from [0, r_max].  Raises LeakageError when
-    the cutoff is so small that certified configurations are too rare to
-    collect, which is the actionable "increase the cutoff" case.
+    certified configurations are too rare to collect: the cutoff is too
+    small for these gains, or r_max too large for any cutoff.
     """
     check_oracle_arguments(samples, cutoff, r_max)
     rng = np.random.default_rng(seed)
@@ -189,7 +189,7 @@ def oracle_suite(
         raise fock.LeakageError(
             f"only {certified} of the requested {samples} configurations could be "
             f"certified after {max_draws} draws at cutoff {cutoff} (r_max {r_max}); "
-            f"increase the cutoff"
+            f"increase the cutoff or lower r_max"
         )
     return SuiteResult(
         "oracle vs engine", certified, worst, ORACLE_TOLERANCE, time.perf_counter() - start, skipped

@@ -335,10 +335,12 @@ def test_figure_visibility_optimal_equals_coherence(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("figure", ["coherence", "snr"])
-@pytest.mark.parametrize("gain", ["nan", "inf", "-3"])
+@pytest.mark.parametrize("gain", ["nan", "inf", "-3", "1", "1.0000001"])
 def test_figure_rejects_unphysical_gains(figure, gain, tmp_path, capsys):
-    """A brightness must be finite and >= 0, as `SetupParams` requires; the
-    usage error names the value, and no curve or output directory is made."""
+    """A brightness must be finite and >= 0, as `SetupParams` requires, and
+    name its own files: `1` and `1.0000001` both print `{gain:g}` as `1`, so
+    beside gain 1 they would overwrite its curves.  The usage error names the
+    value, and no curve or output directory is made."""
     curves = tmp_path / "curves"
     code, out, err = run(
         capsys, "figure", figure, "--out", str(curves), "--resolution", "5", f"--gains=1,{gain}"
@@ -396,3 +398,14 @@ def test_validate_fails_with_leakage_diagnostic_at_tiny_cutoff(capsys):
     assert lines[0].endswith(": PASS")
     assert lines[1].startswith("oracle vs engine: FAIL: ")
     assert "cutoff" in lines[1]
+
+
+def test_validate_advises_a_lower_r_max_when_no_cutoff_can_certify(capsys):
+    """At r_max 300 every draw is refused at its first squeezer, which no
+    cutoff the oracle can hold would mend: the advice names r_max too."""
+    code, out, _ = run(capsys, "validate", "--samples", "2", "--r-max", "300")
+    assert code == 2
+    fail = out.splitlines()[-1]
+    assert fail.startswith("oracle vs engine: FAIL: ")
+    assert fail.endswith("increase the cutoff or lower r_max")
+    assert "r_max 300" in fail

@@ -333,6 +333,10 @@ def test_flagged_state_refuses_observables():
         fock.moment_matrices(state)
     with pytest.raises(fock.LeakageError, match="cutoff"):
         fock.number_moments(state)
+    with pytest.raises(fock.LeakageError, match="cutoff"):
+        fock.cross_correlation(state, 0, 1)
+    with pytest.raises(fock.LeakageError, match="cutoff"):
+        fock.pair_correlation(state, 0, 1)
 
 
 def test_induced_coherence_low_gain_anchor():

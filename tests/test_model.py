@@ -449,13 +449,13 @@ def test_fringe_scan_flat_for_dark_input():
 
 def test_fringe_scan_recovers_visibility():
     params = model.SetupParams(va=1, vb=1, t=1)
-    rows = model.fringe_scan(params, model.aligned_scan(params, points=32))
+    rows = model.fringe_scan(params, model.aligned_scan(params))
     assert model.fringe_visibility(rows) == pytest.approx(0.942809041582063, abs=1e-9)
 
 
 def test_fringe_scan_conserves_energy():
     params = model.SetupParams(va=2, vb=0.3, t=0.6, theta_a=1.0)
-    rows = model.fringe_scan(params, model.aligned_scan(params, points=16))
+    rows = model.fringe_scan(params, model.aligned_scan(params))
     totals = [row[1] + row[2] for row in rows]
     assert max(totals) - min(totals) < 1e-12
 
@@ -463,12 +463,6 @@ def test_fringe_scan_conserves_energy():
 def test_fringe_scan_rejects_empty_grid():
     with pytest.raises(ValueError):
         model.fringe_scan(model.SetupParams(va=1, vb=1, t=1), [])
-
-
-def test_aligned_scan_needs_even_count():
-    params = model.SetupParams(va=1, vb=1, t=1)
-    with pytest.raises(ValueError):
-        model.aligned_scan(params, points=7)
 
 
 def test_observable_bounds_on_random_grid():

@@ -1,4 +1,5 @@
-"""Oracle residual: moment matrices and |psi|^2 marginals against per-pair loops."""
+"""Oracle residual: moment matrices and |psi|^2 marginals against per-pair loops;
+closed-form residual: `model.observables` against the single closed forms."""
 
 import math
 
@@ -74,3 +75,20 @@ def test_oracle_residual_sees_a_wrong_number_covariance(monkeypatch, t2):
     exact = moments.number_covariance
     monkeypatch.setattr(moments, "number_covariance", lambda ms: exact(ms) + 1e-5)
     assert validation.oracle_residual(params, 12) > validation.ORACLE_TOLERANCE
+
+
+def test_observables_equal_the_single_closed_forms_bit_for_bit():
+    """`closed_form_residual` reads every closed form from one `observables`;
+    each field is the value of its own closed-form function, to the bit."""
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        params = validation.random_setup(rng)
+        obs = model.observables(params)
+        assert (obs.n1_det, obs.n2_det) == model.detector_counts(params)
+        assert (obs.n1_arm, obs.n2_arm) == model.arm_counts(params)
+        assert obs.visibility == model.visibility(params)
+        assert obs.gamma12 == model.induced_coherence(params)
+        assert obs.phase_2phi == model.fringe_phase(params)
+        assert (obs.n_minus_mean, obs.n_minus_var) == model.n_minus_statistics(params)
+        assert obs.snr == model.snr(params)
+        assert obs.snr_multipulse == model.snr_multipulse(params)
