@@ -14,6 +14,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -119,13 +120,17 @@ def _parse_grid(text: str | None) -> np.ndarray:
         raise _UsageError(f"bad grid {text!r}: {exc}") from exc
     if count < 2:
         raise _UsageError(f"grid count must be >= 2, got {count}")
+    # np.linspace would warn on its step and hand the points a NaN or an inf
+    if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(stop - start)):
+        raise _UsageError(f"grid {text!r} needs finite ends and a finite stop - start")
     return np.linspace(start, stop, count)
 
 
 def _parse_gains(text: str) -> list[float]:
     tokens = [g.strip() for g in text.split(",") if g.strip() != ""]
     try:
-        gains = [float(g) for g in tokens]
+        # + 0.0 turns -0 into 0, so that it names the files of gain 0
+        gains = [float(g) + 0.0 for g in tokens]
     except ValueError as exc:
         raise _UsageError(f"bad gains list {text!r}: {exc}") from exc
     if not gains:
@@ -145,7 +150,7 @@ def _parse_gains(text: str) -> list[float]:
 def _emit_rows(header: list[str], rows: list[list[float]], fmt: str, out: str | None) -> None:
     if fmt == "csv":
         lines = [",".join(header)]
-        lines.extend(",".join(_fmt(value) for value in row) for row in rows)
+        lines.extend(",".join(map(_FLOAT_FMT.format, row)) for row in rows)
         text = "\n".join(lines) + "\n"
     else:
         records = [
@@ -368,12 +373,19 @@ def _build_parser() -> tuple[_Parser, dict]:
     return parser, sub.choices
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser of every call without --config, built on first use."""
+    return _build_parser()[0]
+
+
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         if args.config:
-            # config values become the running subcommand's defaults, so flags win
+            # config values become the running subcommand's defaults, so flags
+            # win; they go on a parser of this call's own, never the shared one
+            parser, commands = _build_parser()
             command = commands[args.command]
             config = _load_config(args.config, _config_types(commands))
             command.set_defaults(**_check_choices(config, command))

@@ -206,37 +206,21 @@ def _no_overflow(value: float, params: SetupParams) -> float:
     return value
 
 
-def _fringe_amplitude(params: SetupParams) -> float:
-    """|<a_1'^dag a_2'>| = sqrt((1 + va) va vb_eff t)."""
-    squared = (1.0 + params.va) * params.va * params.vb_effective * params.t
-    return math.sqrt(_no_overflow(squared, params))
-
-
-def _total_counts(params: SetupParams) -> float:
-    total = params.va + params.vb_effective + params.va * params.vb_effective * params.t
-    return _no_overflow(total, params)
-
-
 def arm_counts(params: SetupParams) -> tuple[float, float]:
     """Mean photon numbers of the two signal arms before the final splitter."""
-    n1 = params.va
-    n2 = (1.0 + params.t * params.va) * params.vb_effective
-    return n1, _no_overflow(n2, params)
+    obs = observables(params)
+    return obs.n1_arm, obs.n2_arm
 
 
 def detector_counts(params: SetupParams) -> tuple[float, float]:
     """Mean detector counts N1, N2 = (sum +/- fringe) / 2."""
-    total = _total_counts(params)
-    fringe = 2.0 * _fringe_amplitude(params) * math.cos(params.fringe_2phi)
-    return 0.5 * (total + fringe), 0.5 * (total - fringe)
+    obs = observables(params)
+    return obs.n1_det, obs.n2_det
 
 
 def visibility(params: SetupParams) -> float:
     """Fringe visibility of the detector counts (0 when nothing is emitted)."""
-    total = _total_counts(params)
-    if total == 0.0:
-        return 0.0
-    return 2.0 * _fringe_amplitude(params) / total
+    return observables(params).visibility
 
 
 def fringe_phase(params: SetupParams) -> float:
@@ -263,26 +247,18 @@ def induced_coherence(params: SetupParams) -> float:
 
 def n_minus_statistics(params: SetupParams) -> tuple[float, float]:
     """Mean and variance of the detector count difference N1 - N2."""
-    mean = 2.0 * _fringe_amplitude(params) * math.cos(params.fringe_2phi)
-    vb = params.vb_effective
-    try:
-        var = mean**2 + params.va + vb + params.va * vb * (2.0 - params.t)
-    except OverflowError:  # where float * gives inf, float ** raises
-        var = math.inf
-    return mean, _no_overflow(var, params)
+    obs = observables(params)
+    return obs.n_minus_mean, obs.n_minus_var
 
 
 def snr(params: SetupParams) -> float:
     """Single-pulse signal-to-noise ratio <N_->^2 / Var(N_-); 0 when dark."""
-    mean, var = n_minus_statistics(params)
-    if mean == 0.0:
-        return 0.0
-    return mean**2 / var
+    return observables(params).snr
 
 
 def snr_multipulse(params: SetupParams) -> float:
     """SNR after averaging `params.pulses` identical pulses (scales linearly)."""
-    return params.pulses * snr(params)
+    return observables(params).snr_multipulse
 
 
 def snr_ratio(params: SetupParams) -> float:
@@ -387,8 +363,8 @@ def regime_report(params: SetupParams) -> tuple[RegimeReport, ...]:
     compared against the exact optimum (vb set to its optimal value),
     and the reported visibility is the large-va expansion.
     """
-    exact_vis = visibility(params)
-    exact_snr = snr(params)
+    exact = observables(params)
+    exact_vis, exact_snr = exact.visibility, exact.snr
     cos_sq = math.cos(params.fringe_2phi) ** 2
     tau = params.t * cos_sq
     va, t = params.va, params.t
@@ -418,7 +394,7 @@ def regime_report(params: SetupParams) -> tuple[RegimeReport, ...]:
             visibility_high_gain_expansion(va, t),
             snr_optimal(va, tau),
             visibility_optimal(va, t),
-            snr(optimal),
+            observables(optimal).snr,
         ),
     )
 
@@ -463,17 +439,32 @@ def engine_observables(params: SetupParams) -> Observables:
 
 
 def observables(params: SetupParams) -> Observables:
-    """All closed-form observables at one parameter point."""
-    n1_arm, n2_arm = arm_counts(params)
-    n1_det, n2_det = detector_counts(params)
-    mean, var = n_minus_statistics(params)
-    single = snr(params)
+    """All closed-form observables at one parameter point.
+
+    The count, visibility and N1 - N2 closed forms are written here
+    once, each shared factor evaluated once; `arm_counts`,
+    `detector_counts`, `visibility`, `n_minus_statistics`, `snr` and
+    `snr_multipulse` read their fields from this result.  So where any
+    of these overflows, all of them refuse the point.
+    """
+    va, vb, t = params.va, params.vb_effective, params.t
+    n2_arm = _no_overflow((1.0 + t * va) * vb, params)
+    total = _no_overflow(va + vb + va * vb * t, params)
+    # |<a_1'^dag a_2'>| = sqrt((1 + va) va vb_eff t)
+    amplitude = math.sqrt(_no_overflow((1.0 + va) * va * vb * t, params))
+    mean = 2.0 * amplitude * math.cos(params.fringe_2phi)
+    try:
+        mean_sq = mean**2
+    except OverflowError:  # where float * gives inf, float ** raises
+        mean_sq = math.inf
+    var = _no_overflow(mean_sq + va + vb + va * vb * (2.0 - t), params)
+    single = mean_sq / var if mean != 0.0 else 0.0
     return Observables(
-        n1_det=n1_det,
-        n2_det=n2_det,
-        n1_arm=n1_arm,
+        n1_det=0.5 * (total + mean),
+        n2_det=0.5 * (total - mean),
+        n1_arm=va,
         n2_arm=n2_arm,
-        visibility=visibility(params),
+        visibility=2.0 * amplitude / total if total != 0.0 else 0.0,
         gamma12=induced_coherence(params),
         phase_2phi=fringe_phase(params),
         n_minus_mean=mean,

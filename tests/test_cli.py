@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from inducoh import model, validation
+from inducoh import cli, model, validation
 from inducoh.cli import main
 
 SWEEP_HEADER = "t,n1_det,n2_det,visibility,gamma12,n_minus_mean,n_minus_var,snr"
@@ -231,6 +231,10 @@ def test_config_values_reach_their_subcommands(tmp_path, capsys):
         ["validate", "--r-max", "nan"],
         ["validate", "--r-max", "inf"],
         ["validate", "--r-max", "400"],  # sinh(400)^2 overflows a float
+        # refused before np.linspace warns or a point blames theta_a
+        ["sweep", "phi", "--grid=0:inf:3"],
+        ["sweep", "phi", "--grid=-1e308:1e308:3"],  # stop - start overflows
+        ["sweep", "phi", "--grid=nan:1:3"],
     ],
 )
 def test_usage_errors_exit_one(argv, capsys):
@@ -238,6 +242,23 @@ def test_usage_errors_exit_one(argv, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("inducoh: error:")
+
+
+def test_a_config_run_leaves_the_shared_parser_as_it_was(tmp_path, capsys):
+    """`main` parses every call without --config with one parser; the
+    defaults a config file sets, and a usage error, must not reach it."""
+    cli._shared_parser.cache_clear()
+    plain = ("sweep", "t", "--grid", "0:1:5")
+    code, first, _ = run(capsys, *plain)
+    assert code == 0
+    assert first.startswith(SWEEP_HEADER + "\n")
+    config = tmp_path / "sweep.cfg"
+    config.write_text("format = json\nvary = phase\ngrid = 0.25:0.25:2\n")
+    code, out, _ = run(capsys, "sweep", "tau", "--config", str(config))
+    assert code == 0
+    assert json.loads(out)[0]["tau"] == 0.25
+    assert run(capsys, "sweep", "q", "--grid", "0:1:5")[0] == 1
+    assert run(capsys, *plain) == (0, first, "")
 
 
 def test_domain_errors_exit_one(capsys):
@@ -335,15 +356,16 @@ def test_figure_visibility_optimal_equals_coherence(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("figure", ["coherence", "snr"])
-@pytest.mark.parametrize("gain", ["nan", "inf", "-3", "1", "1.0000001"])
+@pytest.mark.parametrize("gain", ["nan", "inf", "-3", "1", "1.0000001", "-0"])
 def test_figure_rejects_unphysical_gains(figure, gain, tmp_path, capsys):
     """A brightness must be finite and >= 0, as `SetupParams` requires, and
     name its own files: `1` and `1.0000001` both print `{gain:g}` as `1`, so
-    beside gain 1 they would overwrite its curves.  The usage error names the
-    value, and no curve or output directory is made."""
+    beside gain 1 they would overwrite its curves, and `-0` is the gain 0.
+    The usage error names the value, and no curve or output directory is
+    made."""
     curves = tmp_path / "curves"
     code, out, err = run(
-        capsys, "figure", figure, "--out", str(curves), "--resolution", "5", f"--gains=1,{gain}"
+        capsys, "figure", figure, "--out", str(curves), "--resolution", "5", f"--gains=0,1,{gain}"
     )
     assert code == 1
     assert out == ""
