@@ -24,19 +24,14 @@ from .model import (
     RegimeReport,
     SetupParams,
     build_network,
-    detector_counts,
     fringe_phase,
     fringe_scan,
     fringe_visibility,
-    induced_coherence,
     observables,
     optimize_t2,
     optimize_vb,
     regime_report,
-    snr,
-    snr_multipulse,
     snr_ratio,
-    visibility,
 )
 from .moments import (
     MomentSet,
@@ -57,12 +52,10 @@ __all__ = [
     "build_network",
     "chain",
     "compose",
-    "detector_counts",
     "difference_statistics",
     "fringe_phase",
     "fringe_scan",
     "fringe_visibility",
-    "induced_coherence",
     "moments_from_map",
     "number_covariance",
     "number_mean",
@@ -71,12 +64,9 @@ __all__ = [
     "optimize_vb",
     "phase_shifter",
     "regime_report",
-    "snr",
-    "snr_multipulse",
     "snr_ratio",
     "two_mode_squeezer",
     "validate",
-    "visibility",
 ]
 
 __version__ = "0.1.0"

@@ -97,13 +97,22 @@ def _check_choices(config: dict, command: argparse.ArgumentParser) -> dict:
     return config
 
 
+def _pump_phase(phi: float) -> float:
+    """theta_a = 2 phi, refused under the name the user typed when 2 phi
+    overflows (`SetupParams` would blame theta_a)."""
+    theta = 2.0 * phi
+    if not math.isfinite(theta):
+        raise ValueError(f"phi must be finite with a finite 2 * phi, got {phi}")
+    return theta
+
+
 def _setup_from_args(args: argparse.Namespace) -> model.SetupParams:
     return model.SetupParams(
         va=args.va,
         vb=args.vb,
         t=args.t,
         t2=args.t2,
-        theta_a=2.0 * args.phi,
+        theta_a=_pump_phase(args.phi),
         pulses=args.pulses,
     )
 
@@ -134,7 +143,7 @@ def _parse_gains(text: str) -> list[float]:
     except ValueError as exc:
         raise _UsageError(f"bad gains list {text!r}: {exc}") from exc
     if not gains:
-        raise _UsageError("gains list is empty")
+        raise _UsageError(f"gains list {text!r} is empty")
     # a gain names its curves' files by `va{gain:g}`; two alike would overwrite
     named = {}
     for token, gain in zip(tokens, gains):
@@ -181,6 +190,10 @@ def _sweep_point(base: model.SetupParams, parameter: str, value: float, vary: st
 def _cmd_sweep(args: argparse.Namespace) -> int:
     base = _setup_from_args(args)
     grid = _parse_grid(args.grid)
+    if args.parameter == "phi":
+        # every point lies between the two ends, so they bound each 2 phi
+        _pump_phase(float(grid[0]))
+        _pump_phase(float(grid[-1]))
     rows = []
     for value in grid:
         point = _sweep_point(base, args.parameter, float(value), args.vary)
@@ -209,34 +222,41 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     if args.resolution < 2:
         raise _UsageError(f"resolution must be >= 2, got {args.resolution}")
     default_gains = [0.0, 1.0, 10.0, 100.0] if args.figure == "coherence" else [1.0, 10.0, 100.0]
-    gains = _parse_gains(args.gains) if args.gains else default_gains
-    os.makedirs(args.out, exist_ok=True)
-    grid = np.linspace(0.0, 1.0, args.resolution)
-    written = []
-
-    def emit(stem: str, header: list[str], rows: list[list[float]]) -> None:
-        path = _figure_path(args.out, stem, args.format)
-        _emit_rows(header, rows, args.format, path)
-        written.append(path)
+    gains = _parse_gains(args.gains) if args.gains is not None else default_gains
+    # Python floats, not numpy scalars: an overflowing curve turns to inf
+    # or NaN without a RuntimeWarning and is refused below
+    grid = np.linspace(0.0, 1.0, args.resolution).tolist()
+    curves = []  # (file stem, header, rows)
 
     if args.figure == "coherence":
         for gain in gains:
             rows = [[t, model.visibility_optimal(gain, t)] for t in grid]
-            emit(f"coherence_va{gain:g}", ["t", "gamma12"], rows)
+            curves.append((f"coherence_va{gain:g}", ["t", "gamma12"], rows))
     elif args.figure == "visibility":
         for gain in gains:
             rows = [[t, model.visibility_equal_gain(gain, t)] for t in grid]
-            emit(f"visibility_eg_va{gain:g}", ["t", "visibility"], rows)
+            curves.append((f"visibility_eg_va{gain:g}", ["t", "visibility"], rows))
             rows = [[t, model.visibility_optimal(gain, t)] for t in grid]
-            emit(f"visibility_opt_va{gain:g}", ["t", "visibility"], rows)
+            curves.append((f"visibility_opt_va{gain:g}", ["t", "visibility"], rows))
     else:
         rows = [[tau, model.snr_low_gain(0.01, tau)] for tau in grid]
-        emit("snr_lg", ["tau", "snr"], rows)
+        curves.append(("snr_lg", ["tau", "snr"], rows))
         for gain in gains:
             rows = [[tau, model.snr_high_gain_source(gain, 0.01, tau)] for tau in grid]
-            emit(f"snr_hgs_va{gain:g}", ["tau", "snr"], rows)
+            curves.append((f"snr_hgs_va{gain:g}", ["tau", "snr"], rows))
             rows = [[tau, model.snr_optimal(gain, tau)] for tau in grid]
-            emit(f"snr_opt_va{gain:g}", ["tau", "snr"], rows)
+            curves.append((f"snr_opt_va{gain:g}", ["tau", "snr"], rows))
+    # every curve is checked before any file is written
+    for stem, header, rows in curves:
+        for x, y in rows:
+            if not math.isfinite(y):
+                raise ValueError(f"curve {stem} overflows at {header[0]} = {x:g}")
+    os.makedirs(args.out, exist_ok=True)
+    written = []
+    for stem, header, rows in curves:
+        path = _figure_path(args.out, stem, args.format)
+        _emit_rows(header, rows, args.format, path)
+        written.append(path)
     for path in written:
         sys.stdout.write(path + "\n")
     return 0
@@ -247,7 +267,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         raise _UsageError("optimize requires --va and --t")
     va, t = args.va, args.t
     vb_star = model.optimize_vb(va, t)
-    optimal = model.SetupParams(va=va, vb=vb_star, t=t, theta_a=2.0 * args.phi, pulses=args.pulses)
+    optimal = model.SetupParams(
+        va=va, vb=vb_star, t=t, theta_a=_pump_phase(args.phi), pulses=args.pulses
+    )
     obs = model.observables(optimal)
     record: dict = {
         "va": va,

@@ -131,7 +131,24 @@ class SetupParams:
 
 @dataclass(frozen=True)
 class Observables:
-    """Every closed-form observable of one parameter point."""
+    """Every closed-form observable of one parameter point.
+
+    n1_det, n2_det: mean detector counts N1,2 = (sum +/- fringe) / 2.
+    n1_arm, n2_arm: mean photon numbers of the two signal arms before the
+        final splitter.
+    visibility: fringe visibility of the detector counts; 0 when nothing
+        is emitted.
+    gamma12: degree of first-order coherence between the signal arms,
+        sqrt(t (1 + va) / (1 + t va)).  It does not depend on vb or t2; at
+        va = 0, where the engine evaluation degenerates to 0/0, it
+        continues smoothly to sqrt(t).
+    phase_2phi: operational fringe phase, as `fringe_phase`.
+    n_minus_mean, n_minus_var: mean and variance of the count difference
+        N1 - N2.
+    snr: single-pulse signal-to-noise ratio <N_->^2 / Var(N_-); 0 when dark.
+    snr_multipulse: SNR after averaging `pulses` identical pulses; it
+        scales linearly.
+    """
 
     n1_det: float
     n2_det: float
@@ -206,23 +223,6 @@ def _no_overflow(value: float, params: SetupParams) -> float:
     return value
 
 
-def arm_counts(params: SetupParams) -> tuple[float, float]:
-    """Mean photon numbers of the two signal arms before the final splitter."""
-    obs = observables(params)
-    return obs.n1_arm, obs.n2_arm
-
-
-def detector_counts(params: SetupParams) -> tuple[float, float]:
-    """Mean detector counts N1, N2 = (sum +/- fringe) / 2."""
-    obs = observables(params)
-    return obs.n1_det, obs.n2_det
-
-
-def visibility(params: SetupParams) -> float:
-    """Fringe visibility of the detector counts (0 when nothing is emitted)."""
-    return observables(params).visibility
-
-
 def fringe_phase(params: SetupParams) -> float:
     """Operational fringe phase 2*phi, principal value in (-pi, pi].
 
@@ -233,32 +233,6 @@ def fringe_phase(params: SetupParams) -> float:
         return math.nan
     raw = params.fringe_2phi
     return math.atan2(math.sin(raw), math.cos(raw))
-
-
-def induced_coherence(params: SetupParams) -> float:
-    """Degree of first-order coherence between the two signal arms.
-
-    gamma_12 = sqrt(t (1 + va) / (1 + t va)); independent of vb and t2.
-    The engine evaluation degenerates to 0/0 at va = 0, where this
-    closed form continues smoothly to sqrt(t).
-    """
-    return visibility_optimal(params.va, params.t)
-
-
-def n_minus_statistics(params: SetupParams) -> tuple[float, float]:
-    """Mean and variance of the detector count difference N1 - N2."""
-    obs = observables(params)
-    return obs.n_minus_mean, obs.n_minus_var
-
-
-def snr(params: SetupParams) -> float:
-    """Single-pulse signal-to-noise ratio <N_->^2 / Var(N_-); 0 when dark."""
-    return observables(params).snr
-
-
-def snr_multipulse(params: SetupParams) -> float:
-    """SNR after averaging `params.pulses` identical pulses (scales linearly)."""
-    return observables(params).snr_multipulse
 
 
 def snr_ratio(params: SetupParams) -> float:
@@ -442,10 +416,8 @@ def observables(params: SetupParams) -> Observables:
     """All closed-form observables at one parameter point.
 
     The count, visibility and N1 - N2 closed forms are written here
-    once, each shared factor evaluated once; `arm_counts`,
-    `detector_counts`, `visibility`, `n_minus_statistics`, `snr` and
-    `snr_multipulse` read their fields from this result.  So where any
-    of these overflows, all of them refuse the point.
+    once, each shared factor evaluated once.  So where any of these
+    overflows, the whole point is refused.
     """
     va, vb, t = params.va, params.vb_effective, params.t
     n2_arm = _no_overflow((1.0 + t * va) * vb, params)
@@ -465,7 +437,7 @@ def observables(params: SetupParams) -> Observables:
         n1_arm=va,
         n2_arm=n2_arm,
         visibility=2.0 * amplitude / total if total != 0.0 else 0.0,
-        gamma12=induced_coherence(params),
+        gamma12=visibility_optimal(va, t),
         phase_2phi=fringe_phase(params),
         n_minus_mean=mean,
         n_minus_var=var,
@@ -474,21 +446,22 @@ def observables(params: SetupParams) -> Observables:
     )
 
 
-def fringe_scan(params: SetupParams, phases) -> list[tuple[float, float, float]]:
+def fringe_scan(params: SetupParams) -> list[tuple[float, float, float]]:
     """Detector counts versus a scanning phase in the signal-A arm.
 
-    A phase shifter is stepped through `phases` between the crystals and
-    the final splitter; each row is (phase, n1, n2), evaluated through
-    the Gaussian engine.
+    A phase shifter is stepped through SCAN_POINTS phases spanning one
+    full period between the crystals and the final splitter; each row is
+    (phase, n1, n2), evaluated through the Gaussian engine.
     """
-    grid = [float(alpha) for alpha in phases]
-    if not grid:
-        raise ValueError("fringe scan needs a non-empty phase grid")
+    # the counts vary as cos(2 phi + alpha), so a uniform grid starting at
+    # alpha = -2 phi hits the maximum exactly and, as SCAN_POINTS is even,
+    # the minimum as well
+    grid = -params.fringe_2phi + np.arange(SCAN_POINTS) * (2.0 * math.pi / SCAN_POINTS)
     base = build_network(params, AFTER_CRYSTALS)
     n = base.n_modes
     splitter = _gaussian(n, _DETECTION)
     rows = []
-    for alpha in grid:
+    for alpha in grid.tolist():
         net = compose(splitter, compose(phase_shifter(n, SIGNAL_A, alpha), base))
         ms = moments_from_map(net)
         rows.append((alpha, number_mean(ms, SIGNAL_A), number_mean(ms, SIGNAL_B)))
@@ -498,21 +471,11 @@ def fringe_scan(params: SetupParams, phases) -> list[tuple[float, float, float]]
 def fringe_visibility(rows) -> float:
     """(max - min)/(max + min) of the n1 column of a fringe scan.
 
-    Exact only when the scanned grid contains the fringe extrema; use
-    `aligned_scan` to build such a grid.
+    Exact only when the scanned grid contains the fringe extrema, as the
+    grid of `fringe_scan` does.
     """
     n1 = [row[1] for row in rows]
     top, bottom = max(n1), min(n1)
     if top + bottom == 0.0:
         return 0.0
     return (top - bottom) / (top + bottom)
-
-
-def aligned_scan(params: SetupParams) -> np.ndarray:
-    """A full-period scan grid of SCAN_POINTS phases that include the fringe extrema.
-
-    The counts vary as cos(2 phi + alpha), so a uniform grid starting at
-    alpha = -2 phi hits the maximum exactly and, as SCAN_POINTS is even,
-    the minimum as well.
-    """
-    return -params.fringe_2phi + np.arange(SCAN_POINTS) * (2.0 * math.pi / SCAN_POINTS)

@@ -88,7 +88,7 @@ def closed_form_residual(params: model.SetupParams) -> float:
     """
     eng = model.engine_observables(params)
     closed = model.observables(params)
-    scan = model.fringe_scan(params, model.aligned_scan(params))
+    scan = model.fringe_scan(params)
     residuals = (
         _relative(eng.n1_det, closed.n1_det),
         _relative(eng.n2_det, closed.n2_det),

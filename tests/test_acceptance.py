@@ -55,7 +55,7 @@ def test_criterion_3_low_gain_visibility_is_sqrt_t():
     worst = 0.0
     for t in np.linspace(0.0, 1.0, 201):
         params = model.SetupParams(va=1e-6, vb=1e-6, t=float(t))
-        worst = max(worst, abs(model.visibility(params) - math.sqrt(t)))
+        worst = max(worst, abs(model.observables(params).visibility - math.sqrt(t)))
     assert worst < 1e-5
     announce(3, f"max |V - sqrt(T)| = {worst:.3e}")
 
@@ -65,10 +65,11 @@ def test_criterion_4_optimal_brightness_reaches_coherence():
     worst_gap = 0.0
     for params in criterion_grid():
         tuned = replace(params, vb=model.optimize_vb(params.va, params.t), t2=1.0)
-        best = model.visibility(tuned)
-        worst_gap = max(worst_gap, abs(best - model.induced_coherence(tuned)))
+        optimum = model.observables(tuned)
+        best = optimum.visibility
+        worst_gap = max(worst_gap, abs(best - optimum.gamma12))
         for vb in rng.uniform(0.0, 20.0, size=20):
-            assert model.visibility(replace(tuned, vb=float(vb))) <= best + 1e-12
+            assert model.observables(replace(tuned, vb=float(vb))).visibility <= best + 1e-12
     assert worst_gap < 1e-12
     announce(4, f"max |V(vb*) - gamma12| = {worst_gap:.3e}, maximal over 4000 probes")
 
@@ -130,10 +131,10 @@ def test_criterion_7_snr_ratio_bound():
 
 def test_criterion_8_multipulse_scaling_exact():
     base = model.SetupParams(va=0.8, vb=1.2, t=0.7)
-    single = model.snr(base)
+    single = model.observables(base).snr
     assert single > 0.0
     for pulses in (1, 10, 1000):
-        scaled = model.snr_multipulse(replace(base, pulses=pulses))
+        scaled = model.observables(replace(base, pulses=pulses)).snr_multipulse
         assert scaled == pulses * single  # bitwise, not approximate
     announce(8, "snr_multipulse(p) = p * snr for p in {1, 10, 1000}")
 
@@ -143,11 +144,11 @@ def test_criterion_9_published_curve_anchors():
     curve for va > 0, and the equal-gain visibility drops below sqrt(T)
     at high gain and large T."""
     for va in (0.1, 1.0, 10.0, 100.0):
-        assert model.induced_coherence(model.SetupParams(va=va, vb=1.0, t=0.0)) == 0.0
+        assert model.observables(model.SetupParams(va=va, vb=1.0, t=0.0)).gamma12 == 0.0
         for t in np.linspace(0.05, 0.95, 19):
-            gamma = model.induced_coherence(model.SetupParams(va=va, vb=1.0, t=float(t)))
+            gamma = model.observables(model.SetupParams(va=va, vb=1.0, t=float(t))).gamma12
             assert gamma > math.sqrt(t)
     for t in (0.7, 0.85, 1.0):
         params = model.SetupParams(va=10.0, vb=10.0, t=t)
-        assert model.visibility(params) < math.sqrt(t)
+        assert model.observables(params).visibility < math.sqrt(t)
     announce(9, "gamma12 anchors and equal-gain high-gain behavior hold strictly")

@@ -276,6 +276,36 @@ def test_overflowing_sweep_exits_one(capsys):
     assert "overflow" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--va", "1", "--t", "1", "--phi", "1e308"],
+        ["sweep", "t", "--grid", "0:1:3", "--phi", "1e308"],
+        ["sweep", "phi", "--grid=0:1e308:3"],
+    ],
+)
+def test_an_overflowing_phi_is_refused_by_its_own_name(argv, capsys):
+    """theta_a = 2 phi overflows; the error names the flag the user typed."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "phi" in err
+    assert "theta_a" not in err
+
+
+def test_an_overflowing_figure_writes_nothing(tmp_path, capsys):
+    """4 (1 + va) overflows at va = 1e308, so every row of both SNR curves of
+    that gain, tau = 0 included, was NaN; they used to be written with exit 0."""
+    curves = tmp_path / "curves"
+    code, out, err = run(
+        capsys, "figure", "snr", "--gains", "1e308", "--resolution", "3", "--out", str(curves)
+    )
+    assert code == 1
+    assert out == ""
+    assert "overflow" in err
+    assert not curves.exists()
+
+
 def test_optimize_refuses_an_overflow_times_zero(capsys):
     """(1 + va) va vb_star overflows to inf and t = 0 turns that into NaN,
     which used to print as `visibility = nan` with exit 0."""
@@ -356,16 +386,34 @@ def test_figure_visibility_optimal_equals_coherence(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("figure", ["coherence", "snr"])
-@pytest.mark.parametrize("gain", ["nan", "inf", "-3", "1", "1.0000001", "-0"])
-def test_figure_rejects_unphysical_gains(figure, gain, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "gain, gains, source",
+    [
+        *(
+            pytest.param(gain, f"0,1,{gain}", "flag", id=gain)
+            for gain in ["nan", "inf", "-3", "1", "1.0000001", "-0"]
+        ),
+        pytest.param("", "", "flag", id="empty"),
+        pytest.param("", "", "config", id="empty-config"),
+        pytest.param(",", ",", "flag", id="comma"),
+    ],
+)
+def test_figure_rejects_unphysical_gains(figure, gain, gains, source, tmp_path, capsys):
     """A brightness must be finite and >= 0, as `SetupParams` requires, and
     name its own files: `1` and `1.0000001` both print `{gain:g}` as `1`, so
     beside gain 1 they would overwrite its curves, and `-0` is the gain 0.
-    The usage error names the value, and no curve or output directory is
-    made."""
+    A list with no gain, from a flag or a config line, is refused too,
+    not read as the default gains.  The usage error names the value, and
+    no curve or output directory is made."""
     curves = tmp_path / "curves"
+    if source == "flag":
+        given = [f"--gains={gains}"]
+    else:
+        config = tmp_path / "figure.cfg"
+        config.write_text(f"gains = {gains}\n")
+        given = ["--config", str(config)]
     code, out, err = run(
-        capsys, "figure", figure, "--out", str(curves), "--resolution", "5", f"--gains=0,1,{gain}"
+        capsys, "figure", figure, "--out", str(curves), "--resolution", "5", *given
     )
     assert code == 1
     assert out == ""

@@ -357,14 +357,13 @@ def test_full_network_matches_closed_forms():
     # cutoff 12 leaves a top-level population of 8.9e-9, which is flagged
     state = fock.simulate_network(params, cutoff=13)
     means, covariance = fock.number_moments(state)
-    n1, n2 = model.detector_counts(params)
-    assert means[0] == pytest.approx(n1, abs=1e-6)
-    assert means[1] == pytest.approx(n2, abs=1e-6)
+    obs = model.observables(params)
+    assert means[0] == pytest.approx(obs.n1_det, abs=1e-6)
+    assert means[1] == pytest.approx(obs.n2_det, abs=1e-6)
     assert means[0] + means[1] == pytest.approx(2 * va + va * va * 0.5, abs=1e-6)
-    mean, var = model.n_minus_statistics(params)
-    assert means[0] - means[1] == pytest.approx(mean, abs=1e-5)
+    assert means[0] - means[1] == pytest.approx(obs.n_minus_mean, abs=1e-5)
     diff_var = covariance[0, 0] + covariance[1, 1] - 2.0 * covariance[0, 1]
-    assert diff_var == pytest.approx(var, abs=1e-5)
+    assert diff_var == pytest.approx(obs.n_minus_var, abs=1e-5)
 
 
 def test_oracle_and_engine_agree_with_attenuator():

@@ -55,8 +55,8 @@ def test_effective_brightness_includes_attenuator():
 
 def test_network_without_gain_emits_nothing():
     params = model.SetupParams(va=0, vb=0, t=0.7)
-    n1, n2 = model.detector_counts(params)
-    assert n1 == 0.0 and n2 == 0.0
+    obs = model.observables(params)
+    assert obs.n1_det == 0.0 and obs.n2_det == 0.0
     ms = model.engine_moments(params, model.FULL)
     assert np.all(ms.normal == 0)
 
@@ -90,9 +90,9 @@ def test_network_grows_to_five_modes_only_when_attenuating():
 def test_full_network_counts_match_closed_form(va, vb, t):
     params = model.SetupParams(va=va, vb=vb, t=t, theta_a=0.6)
     ms = model.engine_moments(params, model.FULL)
-    n1, n2 = model.detector_counts(params)
-    assert float(ms.normal[0, 0].real) == pytest.approx(n1, rel=1e-10, abs=1e-10)
-    assert float(ms.normal[1, 1].real) == pytest.approx(n2, rel=1e-10, abs=1e-10)
+    obs = model.observables(params)
+    assert float(ms.normal[0, 0].real) == pytest.approx(obs.n1_det, rel=1e-10, abs=1e-10)
+    assert float(ms.normal[1, 1].real) == pytest.approx(obs.n2_det, rel=1e-10, abs=1e-10)
 
 
 # -------------------------------------------------------------------- counts
@@ -100,17 +100,17 @@ def test_full_network_counts_match_closed_form(va, vb, t):
 
 def test_detector_counts_at_bright_fringe():
     params = model.SetupParams(va=1, vb=1, t=1)
-    n1, n2 = model.detector_counts(params)
+    obs = model.observables(params)
     vis = 2.0 * math.sqrt(2.0) / 3.0
-    assert n1 == pytest.approx(1.5 * (1 + vis), rel=1e-12)  # 2.914213562373
-    assert n2 == pytest.approx(1.5 * (1 - vis), rel=1e-12)  # 0.085786437627
+    assert obs.n1_det == pytest.approx(1.5 * (1 + vis), rel=1e-12)  # 2.914213562373
+    assert obs.n2_det == pytest.approx(1.5 * (1 - vis), rel=1e-12)  # 0.085786437627
 
 
 @pytest.mark.parametrize("phi", np.linspace(0.0, math.pi, 5))
 def test_count_sum_independent_of_phase(phi):
     params = model.SetupParams(va=2, vb=0.5, t=0.6, theta_a=2 * phi)
-    n1, n2 = model.detector_counts(params)
-    assert n1 + n2 == pytest.approx(2 + 0.5 + 2 * 0.5 * 0.6, rel=1e-12)
+    obs = model.observables(params)
+    assert obs.n1_det + obs.n2_det == pytest.approx(2 + 0.5 + 2 * 0.5 * 0.6, rel=1e-12)
 
 
 # ---------------------------------------------------------------- visibility
@@ -118,17 +118,17 @@ def test_count_sum_independent_of_phase(phi):
 
 def test_visibility_low_gain_limit_is_sqrt_t():
     params = model.SetupParams(va=1e-6, vb=1e-6, t=0.49)
-    assert model.visibility(params) == pytest.approx(0.7, abs=1e-5)
+    assert model.observables(params).visibility == pytest.approx(0.7, abs=1e-5)
 
 
 def test_visibility_at_unit_brightness():
     params = model.SetupParams(va=1, vb=1, t=1)
-    assert model.visibility(params) == pytest.approx(2 * math.sqrt(2) / 3, rel=1e-12)
+    assert model.observables(params).visibility == pytest.approx(2 * math.sqrt(2) / 3, rel=1e-12)
 
 
 def test_visibility_zero_cases():
-    assert model.visibility(model.SetupParams(va=1, vb=1, t=0)) == 0.0
-    assert model.visibility(model.SetupParams(va=0, vb=0, t=1)) == 0.0
+    assert model.observables(model.SetupParams(va=1, vb=1, t=0)).visibility == 0.0
+    assert model.observables(model.SetupParams(va=0, vb=0, t=1)).visibility == 0.0
 
 
 @pytest.mark.parametrize("t, t2", [(0.0, 1.0), (1.0, 0.0)])
@@ -136,20 +136,13 @@ def test_an_overflow_times_zero_is_refused_not_nan(t, t2):
     """(1 + va) va overflows to inf, and a zero t or vb_eff turns the fringe's
     product into NaN, which the closed forms used to return."""
     params = model.SetupParams(va=1e200, vb=1e200, t=t, t2=t2)
-    for closed_form in (
-        model.detector_counts,
-        model.visibility,
-        model.n_minus_statistics,
-        model.snr,
-        model.observables,
-    ):
-        with pytest.raises(ValueError, match="overflow"):
-            closed_form(params)
+    with pytest.raises(ValueError, match="overflow"):
+        model.observables(params)
 
 
 def test_visibility_uses_attenuated_brightness():
-    direct = model.visibility(model.SetupParams(va=1, vb=0.5, t=0.8))
-    attenuated = model.visibility(model.SetupParams(va=1, vb=2.0, t=0.8, t2=0.25))
+    direct = model.observables(model.SetupParams(va=1, vb=0.5, t=0.8)).visibility
+    attenuated = model.observables(model.SetupParams(va=1, vb=2.0, t=0.8, t2=0.25)).visibility
     assert attenuated == pytest.approx(direct, rel=1e-12)
 
 
@@ -171,10 +164,9 @@ def test_fringe_phase_undefined_without_both_crystals():
 def test_idler_phase_of_pi_flips_the_fringe():
     bright = model.SetupParams(va=1, vb=1, t=1)
     flipped = replace(bright, idler_phase=math.pi)
-    n1, n2 = model.detector_counts(bright)
-    m1, m2 = model.detector_counts(flipped)
-    assert m1 == pytest.approx(n2, rel=1e-12)
-    assert m2 == pytest.approx(n1, rel=1e-12)
+    ours, theirs = model.observables(bright), model.observables(flipped)
+    assert theirs.n1_det == pytest.approx(ours.n2_det, rel=1e-12)
+    assert theirs.n2_det == pytest.approx(ours.n1_det, rel=1e-12)
 
 
 def test_engine_phase_agrees_with_closed_form():
@@ -190,34 +182,34 @@ def test_engine_phase_agrees_with_closed_form():
 
 
 def test_coherence_boundary_values():
-    assert model.induced_coherence(model.SetupParams(va=5, vb=1, t=0)) == 0.0
-    assert model.induced_coherence(model.SetupParams(va=1e9, vb=1, t=0.3)) == pytest.approx(
+    assert model.observables(model.SetupParams(va=5, vb=1, t=0)).gamma12 == 0.0
+    assert model.observables(model.SetupParams(va=1e9, vb=1, t=0.3)).gamma12 == pytest.approx(
         1.0, abs=1e-8
     )
     # va = 0 falls back to the closed-form limit sqrt(t)
-    assert model.induced_coherence(model.SetupParams(va=0, vb=1, t=0.49)) == pytest.approx(0.7)
+    assert model.observables(model.SetupParams(va=0, vb=1, t=0.49)).gamma12 == pytest.approx(0.7)
 
 
 def test_coherence_frozen_value():
     params = model.SetupParams(va=10, vb=1, t=0.5)
-    assert model.induced_coherence(params) == pytest.approx(math.sqrt(11.0 / 12.0), rel=1e-12)
+    assert model.observables(params).gamma12 == pytest.approx(math.sqrt(11.0 / 12.0), rel=1e-12)
 
 
 def test_coherence_ignores_crystal_b():
     base = model.SetupParams(va=2, vb=1, t=0.7)
-    reference = model.induced_coherence(base)
+    reference = model.observables(base).gamma12
     for vb in (0.0, 0.5, 10.0, 100.0):
         for t2 in (1.0, 0.3):
             params = replace(base, vb=vb, t2=t2)
-            assert model.induced_coherence(params) == pytest.approx(reference, abs=1e-12)
+            assert model.observables(params).gamma12 == pytest.approx(reference, abs=1e-12)
 
 
 def test_coherence_monotone_in_t_and_va():
     ts = np.linspace(0, 1, 21)
-    values = [model.induced_coherence(model.SetupParams(va=3, vb=1, t=float(t))) for t in ts]
+    values = [model.observables(model.SetupParams(va=3, vb=1, t=float(t))).gamma12 for t in ts]
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
     vas = np.linspace(0, 50, 21)
-    values = [model.induced_coherence(model.SetupParams(va=float(v), vb=1, t=0.4)) for v in vas]
+    values = [model.observables(model.SetupParams(va=float(v), vb=1, t=0.4)).gamma12 for v in vas]
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
 
@@ -235,20 +227,19 @@ def test_optimum_balances_arms_and_reaches_coherence():
     for _ in range(20):
         va, t = float(rng.uniform(0.01, 10)), float(rng.uniform(0, 1))
         params = model.SetupParams(va=va, vb=model.optimize_vb(va, t), t=t)
-        n1, n2 = model.arm_counts(params)
-        assert n1 == pytest.approx(n2, abs=1e-12)
-        assert model.visibility(params) == pytest.approx(
-            model.induced_coherence(params), abs=1e-12
-        )
+        obs = model.observables(params)
+        assert obs.n1_arm == pytest.approx(obs.n2_arm, abs=1e-12)
+        assert obs.visibility == pytest.approx(obs.gamma12, abs=1e-12)
 
 
 def test_optimum_is_a_maximum_over_vb():
     rng = np.random.default_rng(33)
     for _ in range(10):
         va, t = float(rng.uniform(0.01, 10)), float(rng.uniform(0, 1))
-        best = model.visibility(model.SetupParams(va=va, vb=model.optimize_vb(va, t), t=t))
+        optimal = model.SetupParams(va=va, vb=model.optimize_vb(va, t), t=t)
+        best = model.observables(optimal).visibility
         for vb in rng.uniform(0, 20, size=20):
-            other = model.visibility(model.SetupParams(va=va, vb=float(vb), t=t))
+            other = model.observables(model.SetupParams(va=va, vb=float(vb), t=t)).visibility
             assert other <= best + 1e-12
 
 
@@ -265,9 +256,8 @@ def test_optimize_t2_restores_the_optimal_visibility():
     va, vb, t = 2.0, 5.0, 0.6
     t2 = model.optimize_t2(va, vb, t)
     tuned = model.SetupParams(va=va, vb=vb, t=t, t2=t2)
-    assert model.visibility(tuned) == pytest.approx(
-        model.induced_coherence(tuned), abs=1e-12
-    )
+    obs = model.observables(tuned)
+    assert obs.visibility == pytest.approx(obs.gamma12, abs=1e-12)
 
 
 # ------------------------------------------------------------------------ snr
@@ -275,42 +265,43 @@ def test_optimize_t2_restores_the_optimal_visibility():
 
 def test_snr_zero_at_dark_fringe():
     params = model.SetupParams(va=1, vb=1, t=1, theta_a=math.pi / 2)  # cos(2 phi) = 0
-    assert model.snr(params) == pytest.approx(0.0, abs=1e-30)
-    assert model.snr(model.SetupParams(va=0, vb=1, t=1)) == 0.0
+    assert model.observables(params).snr == pytest.approx(0.0, abs=1e-30)
+    assert model.observables(model.SetupParams(va=0, vb=1, t=1)).snr == 0.0
 
 
 def test_snr_low_gain_matches_linear_law():
     params = model.SetupParams(va=0.01, vb=0.01, t=1)
-    assert model.snr(params) == pytest.approx(0.02, abs=5e-4)
+    assert model.observables(params).snr == pytest.approx(0.02, abs=5e-4)
 
 
 def test_snr_equals_moment_ratio():
     rng = np.random.default_rng(34)
     for _ in range(20):
         params = random_params(rng)
-        mean, var = model.n_minus_statistics(params)
+        obs = model.observables(params)
+        mean, var = obs.n_minus_mean, obs.n_minus_var
         expected = mean**2 / var if mean != 0.0 else 0.0
-        assert model.snr(params) == pytest.approx(expected, rel=1e-10)
+        assert obs.snr == pytest.approx(expected, rel=1e-10)
 
 
 def test_snr_approaches_one_when_optimized_and_bright():
     va, t = 1e4, 1.0
     params = model.SetupParams(va=va, vb=model.optimize_vb(va, t), t=t)
-    assert 1.0 - model.snr(params) < 1e-3
+    assert 1.0 - model.observables(params).snr < 1e-3
 
 
 @pytest.mark.parametrize("pulses", [1, 10, 1000])
 def test_multipulse_scaling_is_exact(pulses):
     single = model.SetupParams(va=0.8, vb=1.2, t=0.7)
     multi = replace(single, pulses=pulses)
-    assert model.snr_multipulse(multi) == pulses * model.snr(single)
+    assert model.observables(multi).snr_multipulse == pulses * model.observables(single).snr
 
 
 def test_snr_bounds_on_random_grid():
     rng = np.random.default_rng(35)
     for _ in range(50):
         params = random_params(rng)
-        value = model.snr(params)
+        value = model.observables(params).snr
         assert 0.0 <= value <= 1.0
 
 
@@ -355,14 +346,14 @@ def test_low_gain_regime_accuracy():
     params = model.SetupParams(va=0.001, vb=0.001, t=0.5)
     entry = model.regime_report(params)[0]
     assert entry.approx_visibility == pytest.approx(math.sqrt(0.5), rel=1e-12)
-    assert abs(model.visibility(params) - entry.approx_visibility) < 1e-3
+    assert abs(model.observables(params).visibility - entry.approx_visibility) < 1e-3
 
 
 def test_high_gain_source_regime_accuracy():
     params = model.SetupParams(va=100, vb=0.01, t=0.5)
     entry = model.regime_report(params)[1]
     assert entry.approx_visibility == pytest.approx(2 * math.sqrt(0.005), rel=1e-12)
-    assert abs(model.visibility(params) - entry.approx_visibility) < 1e-3
+    assert abs(model.observables(params).visibility - entry.approx_visibility) < 1e-3
 
 
 def test_equal_gain_visibility_sits_below_sqrt_t_at_high_gain():
@@ -371,8 +362,9 @@ def test_equal_gain_visibility_sits_below_sqrt_t_at_high_gain():
     assert entry.approx_visibility == pytest.approx(2 * math.sqrt(11) / 12, rel=1e-12)
     assert entry.approx_visibility < math.sqrt(params.t)
     # at vb = va the equal-gain forms are exact, not approximations
-    assert entry.approx_visibility == pytest.approx(model.visibility(params), rel=1e-12)
-    assert entry.approx_snr == pytest.approx(model.snr(params), rel=1e-12)
+    exact = model.observables(params)
+    assert entry.approx_visibility == pytest.approx(exact.visibility, rel=1e-12)
+    assert entry.approx_snr == pytest.approx(exact.snr, rel=1e-12)
 
 
 def test_high_gain_expansion_of_optimal_visibility():
@@ -389,9 +381,10 @@ def test_optimized_regime_compares_against_the_optimum():
     params = model.SetupParams(va=50, vb=3, t=0.8)
     entry = model.regime_report(params)[3]
     optimal = replace(params, vb=model.optimize_vb(params.va, params.t), t2=1.0)
+    exact = model.observables(optimal)
     expected_gap = max(
-        abs(model.visibility(optimal) - entry.approx_visibility),
-        abs(model.snr(optimal) - entry.approx_snr),
+        abs(exact.visibility - entry.approx_visibility),
+        abs(exact.snr - entry.approx_snr),
     )
     assert entry.validity == pytest.approx(expected_gap, abs=1e-15)
 
@@ -443,26 +436,21 @@ def test_engine_matches_closed_forms_on_random_grid():
 
 
 def test_fringe_scan_flat_for_dark_input():
-    rows = model.fringe_scan(model.SetupParams(va=0, vb=0, t=1), np.linspace(0, 6.28, 8))
+    rows = model.fringe_scan(model.SetupParams(va=0, vb=0, t=1))
     assert all(row[1] == 0.0 and row[2] == 0.0 for row in rows)
 
 
 def test_fringe_scan_recovers_visibility():
     params = model.SetupParams(va=1, vb=1, t=1)
-    rows = model.fringe_scan(params, model.aligned_scan(params))
+    rows = model.fringe_scan(params)
     assert model.fringe_visibility(rows) == pytest.approx(0.942809041582063, abs=1e-9)
 
 
 def test_fringe_scan_conserves_energy():
     params = model.SetupParams(va=2, vb=0.3, t=0.6, theta_a=1.0)
-    rows = model.fringe_scan(params, model.aligned_scan(params))
+    rows = model.fringe_scan(params)
     totals = [row[1] + row[2] for row in rows]
     assert max(totals) - min(totals) < 1e-12
-
-
-def test_fringe_scan_rejects_empty_grid():
-    with pytest.raises(ValueError):
-        model.fringe_scan(model.SetupParams(va=1, vb=1, t=1), [])
 
 
 def test_observable_bounds_on_random_grid():

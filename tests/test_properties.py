@@ -47,28 +47,28 @@ _overflowing = _setups(st.floats(1e160, 1e300), st.floats(1e-3, 1.0))
 @settings(max_examples=300, deadline=None)
 @given(_moderate)
 def test_visibility_is_bounded_by_the_coherence(params):
-    vis = model.visibility(params)
-    gamma12 = model.induced_coherence(params)
-    assert 0.0 <= vis <= gamma12 * (1.0 + _ROUNDING)
-    assert gamma12 <= 1.0 + _ROUNDING
+    obs = model.observables(params)
+    assert 0.0 <= obs.visibility <= obs.gamma12 * (1.0 + _ROUNDING)
+    assert obs.gamma12 <= 1.0 + _ROUNDING
 
 
 @settings(max_examples=300, deadline=None)
 @given(_moderate)
 def test_difference_variance_is_non_negative(params):
-    _, var = model.n_minus_statistics(params)
-    assert var >= 0.0
-    assert model.snr(params) >= 0.0
+    obs = model.observables(params)
+    assert obs.n_minus_var >= 0.0
+    assert obs.snr >= 0.0
 
 
 @settings(max_examples=300, deadline=None)
 @given(_moderate)
 def test_visibility_is_coherence_times_arm_balance(params):
     """V = gamma12 * 2 sqrt(n1 n2) / (n1 + n2) on the arm counts."""
-    n1, n2 = model.arm_counts(params)
+    obs = model.observables(params)
+    n1, n2 = obs.n1_arm, obs.n2_arm
     balance = 2.0 * math.sqrt(n1 * n2) / (n1 + n2) if n1 + n2 > 0.0 else 0.0
-    expected = model.induced_coherence(params) * balance
-    assert model.visibility(params) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    expected = obs.gamma12 * balance
+    assert obs.visibility == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -77,13 +77,5 @@ def test_visibility_is_coherence_times_arm_balance(params):
 # the count sum and the squared fringe overflow, va * vb does not
 @example(model.SetupParams(va=0.5, vb=1.5e308, t=1.0))
 def test_overflowing_brightness_products_are_refused(params):
-    for closed_form in (
-        model.arm_counts,
-        model.detector_counts,
-        model.visibility,
-        model.n_minus_statistics,
-        model.snr,
-        model.observables,
-    ):
-        with pytest.raises(ValueError, match="overflow"):
-            closed_form(params)
+    with pytest.raises(ValueError, match="overflow"):
+        model.observables(params)
