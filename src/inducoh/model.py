@@ -33,9 +33,10 @@ import numpy as np
 
 from .bogoliubov import (
     GaussianMap,
+    _check_phase,
     beam_splitter,
     chain,
-    compose,
+    compose,  # unused here; bench/tests/test_bench.py requires the binding
     phase_shifter,
     two_mode_squeezer,
 )
@@ -45,6 +46,7 @@ from .moments import (
     difference_statistics,
     moments_from_map,
     number_mean,
+    require_valid,
 )
 
 SIGNAL_A = 0
@@ -452,20 +454,32 @@ def fringe_scan(params: SetupParams) -> list[tuple[float, float, float]]:
     A phase shifter is stepped through SCAN_POINTS phases spanning one
     full period between the crystals and the final splitter; each row is
     (phase, n1, n2), evaluated through the Gaussian engine.
+
+    The phase shifter and the splitter are passive (V = 0, unitary U), so
+    together they act on the arm-plane map (U, V) as the unitary
+    congruence (W U, W V), W(alpha) = splitter . phase(alpha), and on its
+    normal moments as N -> W* N W^T (Weedbrook et al., RMP 84, 621
+    (2012)).  The arm map is built and validated once; each count is the
+    squared norm of a detector row of W(alpha) V, see
+    docs/wick_covariance.md.
     """
     # the counts vary as cos(2 phi + alpha), so a uniform grid starting at
     # alpha = -2 phi hits the maximum exactly and, as SCAN_POINTS is even,
     # the minimum as well
     grid = -params.fringe_2phi + np.arange(SCAN_POINTS) * (2.0 * math.pi / SCAN_POINTS)
-    base = build_network(params, AFTER_CRYSTALS)
-    n = base.n_modes
-    splitter = _gaussian(n, _DETECTION)
-    rows = []
-    for alpha in grid.tolist():
-        net = compose(splitter, compose(phase_shifter(n, SIGNAL_A, alpha), base))
-        ms = moments_from_map(net)
-        rows.append((alpha, number_mean(ms, SIGNAL_A), number_mean(ms, SIGNAL_B)))
-    return rows
+    phases = grid.tolist()
+    for alpha in phases:
+        _check_phase(alpha)
+    arm = build_network(params, AFTER_CRYSTALS)
+    require_valid(arm)
+    detectors = [SIGNAL_A, SIGNAL_B]
+    # rows[k] = W(grid[k])[detectors]: the splitter's rows with the
+    # SIGNAL_A column turned by exp(i alpha)
+    rows = np.repeat(_gaussian(arm.n_modes, _DETECTION).u[None, detectors], SCAN_POINTS, axis=0)
+    rows[:, :, SIGNAL_A] *= np.exp(1j * grid)[:, None]
+    out = rows @ arm.v
+    counts = (out.real**2 + out.imag**2).sum(axis=2)
+    return list(zip(phases, counts[:, 0].tolist(), counts[:, 1].tolist()))
 
 
 def fringe_visibility(rows) -> float:

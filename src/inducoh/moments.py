@@ -46,18 +46,23 @@ def _real(value: complex, what: str) -> float:
     return float(value.real)
 
 
-def moments_from_map(transform: GaussianMap) -> MomentSet:
-    """Second moments of the output state when the inputs are in vacuum.
-
-    Raises ValueError if `transform` fails its commutator invariants at
-    the engine tolerance; moments of an ill-formed map would be meaningless.
-    """
+def require_valid(transform: GaussianMap) -> None:
+    """Raise ValueError if `transform` fails its commutator invariants at
+    the engine tolerance; moments of an ill-formed map would be meaningless."""
     report = validate(transform)
     if not report.ok:
         raise ValueError(
             "transform violates commutation invariants "
             f"(residuals {report.commutator_residual:.3e}, {report.symmetry_residual:.3e})"
         )
+
+
+def moments_from_map(transform: GaussianMap) -> MomentSet:
+    """Second moments of the output state when the inputs are in vacuum.
+
+    Raises ValueError, as `require_valid`, if `transform` is ill-formed.
+    """
+    require_valid(transform)
     v = transform.v
     normal = v.conj() @ v.T
     anomalous = transform.u @ v.T

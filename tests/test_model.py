@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from inducoh import model
+from inducoh import bogoliubov, model
+from inducoh.moments import moments_from_map, number_mean
 
 
 def random_params(rng: np.random.Generator) -> model.SetupParams:
@@ -451,6 +452,69 @@ def test_fringe_scan_conserves_energy():
     rows = model.fringe_scan(params)
     totals = [row[1] + row[2] for row in rows]
     assert max(totals) - min(totals) < 1e-12
+
+
+def _composed_scan(params):
+    """The scan as one composed map per phase: splitter . phase(alpha) . arm."""
+    arm = model.build_network(params, model.AFTER_CRYSTALS)
+    n = arm.n_modes
+    splitter = bogoliubov.beam_splitter(n, model.SIGNAL_A, model.SIGNAL_B, 0.5)
+    grid = -params.fringe_2phi + np.arange(model.SCAN_POINTS) * (2 * math.pi / model.SCAN_POINTS)
+    rows = []
+    for alpha in grid.tolist():
+        net = bogoliubov.compose(
+            splitter, bogoliubov.compose(bogoliubov.phase_shifter(n, model.SIGNAL_A, alpha), arm)
+        )
+        ms = moments_from_map(net)
+        rows.append((alpha, number_mean(ms, model.SIGNAL_A), number_mean(ms, model.SIGNAL_B)))
+    return rows
+
+
+def test_fringe_scan_matches_composed_maps():
+    rng = np.random.default_rng(15)
+    for draw in range(200):
+        params = model.SetupParams(
+            va=float(rng.uniform(0, 1e3)),
+            vb=float(rng.uniform(0, 1e3)),
+            t=float(rng.uniform(0, 1)),
+            t2=float(rng.uniform(0.05, 1)) if draw % 4 == 3 else 1.0,
+            theta_a=float(rng.uniform(0, 2 * math.pi)),
+            theta_b=float(rng.uniform(0, 2 * math.pi)),
+            idler_phase=float(rng.uniform(0, 2 * math.pi)),
+        )
+        for row, reference in zip(model.fringe_scan(params), _composed_scan(params)):
+            assert row[0] == reference[0]
+            assert row[1:] == pytest.approx(reference[1:], rel=1e-13, abs=0)
+
+
+def test_fringe_scan_refuses_non_finite_phase():
+    # theta_a + idler_phase overflows to inf, so every scan phase is -inf
+    params = model.SetupParams(va=1, vb=1, t=0.5, theta_a=1e308, idler_phase=1e308)
+    with pytest.raises(ValueError, match="phase must be finite, got -inf"):
+        model.fringe_scan(params)
+
+
+def test_fringe_scan_refuses_exactly_the_invalid_arm_maps():
+    refused = 0
+    for va in np.geomspace(1e2, 1e4, 25).tolist():
+        for t in (1.0, 0.5, 0.1):
+            for t2 in (1.0, 0.3):
+                params = model.SetupParams(va=va, vb=va, t=t, t2=t2)
+                arm = model.build_network(params, model.AFTER_CRYSTALS)
+                if not bogoliubov.validate(arm).ok:
+                    refused += 1
+                    with pytest.raises(ValueError, match="commutation invariants"):
+                        model.fringe_scan(params)
+                    with pytest.raises(ValueError, match="commutation invariants"):
+                        _composed_scan(params)
+                    continue
+                # a valid arm map gives the closed-form counts, even where
+                # rounding in a composed map pushes it past the tolerance;
+                # all phases are zero, so the first row is the fringe top
+                closed = model.observables(params)
+                _, n1, n2 = model.fringe_scan(params)[0]
+                assert (n1, n2) == pytest.approx((closed.n1_det, closed.n2_det), rel=1e-9)
+    assert 0 < refused < 150
 
 
 def test_observable_bounds_on_random_grid():

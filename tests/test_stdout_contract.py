@@ -1,7 +1,8 @@
-"""The printed bytes of `sweep`, `optimize` and `figure`, pinned.
+"""The printed bytes of `sweep`, `optimize`, `figure` and `validate`, pinned.
 
 Each case runs one fixed argv and hashes what it writes: stdout for
-`sweep` and `optimize`, each curve file's name and content for `figure`.
+`sweep`, `optimize` and `validate`, each curve file's name and content
+for `figure`.
 The digests were recorded from a build whose output the rest of the
 suite accepts, so a change to any printed digit, key or row fails here
 even where every tolerance-based test still passes.
@@ -82,6 +83,14 @@ FIGURES = {
     ),
 }
 
+# extra flags -> sha256 of the stdout of `validate` (its wall times go to stderr)
+VALIDATE = {
+    (): "62544b21901a0ced27657ef19da8154f64ae7e81876aef3e19538e31d0c5a2c7",
+    ("--cutoff", "20", "--r-max", "0.9"): (
+        "e137913f36446be073a2662ae43704d11497a93c009f7267ef49704a620a04ac"
+    ),
+}
+
 
 def _stdout(capsys, *argv) -> str:
     code = main(list(argv))
@@ -120,3 +129,9 @@ def test_figure_files_digest(figure, fmt, tmp_path, capsys):
         with open(path, "r", encoding="utf-8") as handle:
             digest.update(f"{os.path.basename(path)}\n{handle.read()}".encode())
     assert digest.hexdigest() == FIGURES[figure][fmt == "json"]
+
+
+@pytest.mark.parametrize("flags", list(VALIDATE))
+def test_validate_stdout_digest(flags, capsys):
+    out = _stdout(capsys, "validate", *flags)
+    assert _sha256(out) == VALIDATE[flags]
