@@ -14,6 +14,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -25,7 +26,7 @@ import numpy as np
 from . import model, validation
 from .fock import LeakageError
 
-_FLOAT_FMT = "{:.12g}"
+_FLOAT_FMT = "%.12g"
 
 _SWEEP_COLUMNS = (
     "n1_det",
@@ -49,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value: float) -> str:
-    return _FLOAT_FMT.format(float(value))
+    return _FLOAT_FMT % float(value)
 
 
 def _config_types(commands: dict) -> dict:
@@ -155,38 +156,35 @@ def _parse_gains(text: str) -> list[float]:
     return gains
 
 
-def _emit_rows(header: list[str], rows: list[list[float]], fmt: str, out: str | None) -> None:
+def _emit_rows(header: list[str], rows, fmt: str, out: str | None) -> None:
+    """Write a table of finite floats, one record per row (at least one),
+    every value with `_FLOAT_FMT`: csv lines, or the text of
+    `json.dumps([{key: float(_fmt(value)), ...}, ...], indent=2)`.
+
+    Each text is filled from one template, so the cells are formatted in
+    one pass rather than one call per cell.
+    """
+    width = len(header)
+    cells = np.asarray(rows, dtype=float).ravel().tolist()
+    count = len(cells) // width
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(map(_FLOAT_FMT.format, row)) for row in rows)
-        text = "\n".join(lines) + "\n"
+        line = ",".join([_FLOAT_FMT] * width) + "\n"
+        text = ",".join(header) + "\n" + (line * count) % tuple(cells)
     else:
-        records = [
-            {key: float(_fmt(value)) for key, value in zip(header, row)} for row in rows
-        ]
-        text = json.dumps(records, indent=2) + "\n"
+        printed = (",".join([_FLOAT_FMT] * len(cells)) % tuple(cells)).split(",")
+        # a cell in fixed notation with a point already reads as json
+        # prints it (12 digits round-trip); an integer, an exponent or a
+        # subnormal may not
+        values = tuple(
+            cell if "." in cell and "e" not in cell else repr(float(cell)) for cell in printed
+        )
+        record = "  {\n" + ",\n".join(f"    {json.dumps(key)}: %s" for key in header) + "\n  }"
+        text = "[\n" + ",\n".join([record] * count) % values + "\n]\n"
     if out is None:
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
-
-
-def _sweep_point(base: model.SetupParams, parameter: str, value: float, vary: str) -> model.SetupParams:
-    # the constructor on a merged field dict is faster per row than
-    # dataclasses.replace; __post_init__ still checks every field
-    fields = vars(base)
-    if parameter == "phi":
-        return model.SetupParams(**{**fields, "theta_a": 2.0 * float(value)})
-    if parameter == "tau":
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"tau must lie in [0, 1], got {value}")
-        if vary == "phase":
-            # tau = cos^2(2 phi) at full transmittance
-            return model.SetupParams(**{**fields, "t": 1.0, "theta_a": math.acos(math.sqrt(value))})
-        # tau = T at zero phase
-        return model.SetupParams(**{**fields, "t": float(value), "theta_a": 0.0})
-    return model.SetupParams(**{**fields, parameter: float(value)})
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -196,23 +194,32 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # every point lies between the two ends, so they bound each 2 phi
         _pump_phase(float(grid[0]))
         _pump_phase(float(grid[-1]))
-    rows = []
-    for value in grid:
-        point = _sweep_point(base, args.parameter, float(value), args.vary)
-        obs = model.observables(point)
-        rows.append(
-            [
-                float(value),
-                obs.n1_det,
-                obs.n2_det,
-                obs.visibility,
-                obs.gamma12,
-                obs.n_minus_mean,
-                obs.n_minus_var,
-                obs.snr_multipulse,
-            ]
-        )
-    _emit_rows([args.parameter, *_SWEEP_COLUMNS], rows, args.format, args.out)
+        obs = model.observables(base, "theta_a", 2.0 * grid)
+    elif args.parameter == "tau":
+        for end in (grid.min(), grid.max()):
+            if not 0.0 <= end <= 1.0:
+                raise ValueError(f"tau must lie in [0, 1], got {float(end)}")
+        if args.vary == "phase":
+            # tau = cos^2(2 phi) at full transmittance; math.acos, since
+            # np.arccos rounds differently
+            theta = np.array(list(map(math.acos, np.sqrt(grid).tolist())))
+            obs = model.observables(dataclasses.replace(base, t=1.0), "theta_a", theta)
+        else:
+            # tau = T at zero phase
+            obs = model.observables(dataclasses.replace(base, theta_a=0.0), "t", grid)
+    else:
+        obs = model.observables(base, args.parameter, grid)
+    columns = [
+        grid,
+        obs.n1_det,
+        obs.n2_det,
+        obs.visibility,
+        obs.gamma12,
+        obs.n_minus_mean,
+        obs.n_minus_var,
+        obs.snr_multipulse,
+    ]
+    _emit_rows([args.parameter, *_SWEEP_COLUMNS], np.column_stack(columns), args.format, args.out)
     return 0
 
 

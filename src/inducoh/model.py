@@ -111,6 +111,11 @@ class SetupParams:
                 raise ValueError(f"{name} must be finite")
         if not isinstance(self.pulses, int) or self.pulses < 1:
             raise ValueError(f"pulses must be a positive integer, got {self.pulses}")
+        try:
+            float(self.pulses)  # the multi-pulse SNR multiplies by it
+        except OverflowError:
+            bits = self.pulses.bit_length()
+            raise ValueError(f"pulses must convert to a finite float, got a {bits}-bit integer") from None
 
     @property
     def gain_a(self) -> float:
@@ -133,7 +138,10 @@ class SetupParams:
 
 @dataclass(frozen=True)
 class Observables:
-    """Every closed-form observable of one parameter point.
+    """Every closed-form observable of one parameter point, or of a grid.
+
+    Each field is a float at a point and a float array, one entry per
+    grid value, along a grid (see `observables`).
 
     n1_det, n2_det: mean detector counts N1,2 = (sum +/- fringe) / 2.
     n1_arm, n2_arm: mean photon numbers of the two signal arms before the
@@ -217,24 +225,13 @@ def build_network(params: SetupParams, cut: str = FULL) -> GaussianMap:
     return chain(*(_gaussian(n, element) for element in elements))
 
 
-def _no_overflow(value: float, params: SetupParams) -> float:
-    """`value`, unless a product of the (finite) inputs overflowed to inf, or
-    to NaN where an inf meets a zero factor."""
-    if not math.isfinite(value):
-        raise ValueError(f"closed forms overflow at va={params.va:g}, vb_eff={params.vb_effective:g}")
-    return value
-
-
 def fringe_phase(params: SetupParams) -> float:
     """Operational fringe phase 2*phi, principal value in (-pi, pi].
 
     Not applicable (NaN) when either crystal arm is dark, since no
     fringe exists to carry the phase.
     """
-    if params.va * params.vb_effective == 0.0:
-        return math.nan
-    raw = params.fringe_2phi
-    return math.atan2(math.sin(raw), math.cos(raw))
+    return _phase(params.va * params.vb_effective, params.fringe_2phi)
 
 
 def snr_ratio(params: SetupParams) -> float:
@@ -294,7 +291,7 @@ def visibility_equal_gain(va: float, t: float) -> float:
 
 def visibility_optimal(va: float, t: float) -> float:
     """Visibility at the optimal vb, equal to the coherence bound."""
-    return math.sqrt(t * (1.0 + va) / (1.0 + t * va))
+    return _sqrt(t * (1.0 + va) / (1.0 + t * va))
 
 
 def visibility_high_gain_expansion(va: float, t: float) -> float:
@@ -414,38 +411,130 @@ def engine_observables(params: SetupParams) -> Observables:
     )
 
 
-def observables(params: SetupParams) -> Observables:
-    """All closed-form observables at one parameter point.
+GRID_FIELDS = ("va", "vb", "t", "t2", "theta_a", "theta_b", "idler_phase")
+
+
+def observables(params: SetupParams, field: str | None = None, values=None) -> Observables:
+    """All closed-form observables at one parameter point, or along a grid.
+
+    `observables(params)` evaluates the point `params` and every field of
+    its result is a float.  `observables(params, field, values)` evaluates
+    the grid of points `replace(params, field=v)` for v in `values`, field
+    one of GRID_FIELDS, in one call: every field of its result is a float
+    array with one entry per value, each equal bit for bit to the point's.
+    Every field's valid set is an interval, so the grid is checked by
+    `SetupParams` at the values' minimum and maximum.
 
     The count, visibility and N1 - N2 closed forms are written here
     once, each shared factor evaluated once.  So where any of these
-    overflows, the whole point is refused.
+    overflows, the whole point is refused, and a grid with it.
     """
-    va, vb, t = params.va, params.vb_effective, params.t
-    n2_arm = _no_overflow((1.0 + t * va) * vb, params)
-    total = _no_overflow(va + vb + va * vb * t, params)
+    fields = vars(params)
+    if field is None:
+        return _closed_forms(**fields)
+    if field not in GRID_FIELDS:
+        raise ValueError(f"cannot vary {field!r}; choose from {', '.join(GRID_FIELDS)}")
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"{field} values must be a non-empty 1-D sequence")
+    for end in (grid.min(), grid.max()):
+        replace(params, **{field: float(end)})
+    # brightnesses and transmittances become arrays along the grid, so
+    # every result is one; the phases stay floats unless varied, so that
+    # `math` evaluates a fixed phase once
+    points = {**fields, field: grid}
+    for name in ("va", "vb", "t", "t2"):
+        points[name] = np.full(grid.shape, points[name], dtype=float)
+    # numpy warns where a product overflows; the closed forms refuse it
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _closed_forms(**points)
+
+
+def _closed_forms(va, vb, t, t2, theta_a, theta_b, idler_phase, pulses) -> Observables:
+    """The body of `observables`, on floats at a point and on float arrays
+    along a grid.
+
+    Arithmetic and sqrt round alike in Python and numpy; `**` (libm pow
+    for a float, x * x in numpy), cos, sin and atan2 do not, so they go
+    through `_each`, which applies `math` to every element of an array.
+    """
+    vb = t2 * vb  # vb_eff
+    two_phi = theta_a - theta_b + idler_phase
+    n2_arm = (1.0 + t * va) * vb
+    total = va + vb + va * vb * t
     # |<a_1'^dag a_2'>| = sqrt((1 + va) va vb_eff t)
-    amplitude = math.sqrt(_no_overflow((1.0 + va) * va * vb * t, params))
-    mean = 2.0 * amplitude * math.cos(params.fringe_2phi)
-    try:
-        mean_sq = mean**2
-    except OverflowError:  # where float * gives inf, float ** raises
-        mean_sq = math.inf
-    var = _no_overflow(mean_sq + va + vb + va * vb * (2.0 - t), params)
-    single = mean_sq / var if mean != 0.0 else 0.0
+    amplitude_sq = (1.0 + va) * va * vb * t
+    _no_overflow(va, vb, n2_arm, total, amplitude_sq)
+    amplitude = _sqrt(amplitude_sq)
+    mean = 2.0 * amplitude * _each(math.cos, two_phi)
+    mean_sq = _each(_square, mean)
+    var = mean_sq + va + vb + va * vb * (2.0 - t)
+    _no_overflow(va, vb, var)
+    single = _ratio(mean_sq, var, mean != 0.0)
     return Observables(
         n1_det=0.5 * (total + mean),
         n2_det=0.5 * (total - mean),
-        n1_arm=va,
+        n1_arm=1.0 * va,  # a float also where SetupParams holds an int
         n2_arm=n2_arm,
-        visibility=2.0 * amplitude / total if total != 0.0 else 0.0,
+        visibility=_ratio(2.0 * amplitude, total, total != 0.0),
         gamma12=visibility_optimal(va, t),
-        phase_2phi=fringe_phase(params),
+        phase_2phi=_phase(va * vb, two_phi),
         n_minus_mean=mean,
         n_minus_var=var,
         snr=single,
-        snr_multipulse=params.pulses * single,
+        snr_multipulse=float(pulses) * single,
     )
+
+
+def _sqrt(value):
+    return np.sqrt(value) if isinstance(value, np.ndarray) else math.sqrt(value)
+
+
+def _each(function, value):
+    """`function`, a `math` routine, of a float or of each element of an array."""
+    if isinstance(value, np.ndarray):
+        return np.array(list(map(function, value.tolist())))
+    return function(value)
+
+
+def _square(value: float) -> float:
+    try:
+        return value**2
+    except OverflowError:  # where float * gives inf, float ** raises
+        return math.inf
+
+
+def _ratio(num, den, defined):
+    """num / den where `defined`, else 0."""
+    if isinstance(defined, np.ndarray):
+        return np.where(defined, num / den, 0.0)
+    return num / den if defined else 0.0
+
+
+def _principal(raw: float) -> float:
+    return math.atan2(math.sin(raw), math.cos(raw))
+
+
+def _phase(brightness, raw):
+    """Principal value of the fringe phase `raw`, NaN where the product
+    `brightness` = va * vb_eff is 0."""
+    if isinstance(brightness, np.ndarray):
+        return np.where(brightness == 0.0, math.nan, _each(_principal, raw))
+    return math.nan if brightness == 0.0 else _principal(raw)
+
+
+def _no_overflow(va, vb, *values) -> None:
+    """Refuse where a product of the (finite) inputs overflowed to inf, or
+    to NaN where an inf met a zero factor; a grid at its first such point."""
+    if isinstance(va, np.ndarray):
+        finite = np.logical_and.reduce([np.isfinite(value) for value in values])
+        if finite.all():
+            return
+        first = int(np.argmin(finite))
+        va, vb = float(va[first]), float(vb[first])
+    elif all(map(math.isfinite, values)):
+        return
+    raise ValueError(f"closed forms overflow at va={va:g}, vb_eff={vb:g}")
 
 
 def fringe_scan(params: SetupParams) -> list[tuple[float, float, float]]:

@@ -1,11 +1,15 @@
 """CLI behavior: schemas, determinism, exit codes, config handling."""
 
+import contextlib
+import io
 import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from inducoh import cli, model, validation
 from inducoh.cli import main
@@ -28,6 +32,30 @@ def test_sweep_csv_schema(capsys):
     first = lines[1].split(",")
     assert first[0] == "0"
     assert len(first) == 8
+
+
+_EDGE_CELLS = [-0.0, 1e16, 1e-05, 123456789012.0, 5e-324, 1.7976931348623157e308]
+_cells = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_CELLS)
+_tables = st.integers(1, 8).flatmap(
+    lambda width: st.lists(st.lists(_cells, min_size=width, max_size=width), min_size=1, max_size=6)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables)
+@example([_EDGE_CELLS[:3], _EDGE_CELLS[3:]])
+def test_emitted_rows_equal_per_cell_formatting(rows):
+    """`_emit_rows` fills templates; the reference formats cell by cell."""
+    header = [f"c{column}" for column in range(len(rows[0]))]
+    cell = "{:.12g}".format
+    lines = [",".join(header), *(",".join(map(cell, row)) for row in rows)]
+    records = [{key: float(cell(value)) for key, value in zip(header, row)} for row in rows]
+    expected = {"csv": "\n".join(lines) + "\n", "json": json.dumps(records, indent=2) + "\n"}
+    for fmt, text in expected.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit_rows(header, rows, fmt, None)
+        assert out.getvalue() == text
 
 
 def test_sweep_values_are_twelve_significant_digits(capsys):
@@ -235,6 +263,9 @@ def test_config_values_reach_their_subcommands(tmp_path, capsys):
         ["sweep", "phi", "--grid=0:inf:3"],
         ["sweep", "phi", "--grid=-1e308:1e308:3"],  # stop - start overflows
         ["sweep", "phi", "--grid=nan:1:3"],
+        # pulses * SNR would raise OverflowError: int too large to convert to float
+        ["sweep", "t", "--grid", "0:1:3", "--pulses", "1" + "0" * 400],
+        ["optimize", "--va", "1", "--t", "1", "--pulses", "1" + "0" * 400],
     ],
 )
 def test_usage_errors_exit_one(argv, capsys):
@@ -261,16 +292,39 @@ def test_a_config_run_leaves_the_shared_parser_as_it_was(tmp_path, capsys):
     assert run(capsys, *plain) == (0, first, "")
 
 
-def test_domain_errors_exit_one(capsys):
-    code, _, err = run(capsys, "sweep", "t", "--grid", "0:2:5", "--va", "1", "--vb", "1")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "t", "--grid", "0:2:5", "--va", "1", "--vb", "1"],
+        # grids that leave the domain at their start and at their end
+        ["sweep", "t", "--grid=-0.5:1:5"],
+        ["sweep", "t2", "--grid=-0.5:1:5"],
+        ["sweep", "t2", "--grid=0:1.5:5"],
+        ["sweep", "va", "--grid=-1:2:4"],
+        ["sweep", "va", "--grid=2:-1:4"],
+        ["sweep", "tau", "--grid=-0.5:1:5"],
+        ["sweep", "tau", "--grid=0:1.5:5", "--vary", "phase"],
+    ],
+    ids=["t-end", "t-start", "t2-start", "t2-end", "va-start", "va-end", "tau-start", "tau-end"],
+)
+def test_domain_errors_exit_one(argv, capsys):
+    code, out, err = run(capsys, *argv)
     assert code == 1
+    assert out == ""
     assert "error" in err
 
 
-def test_overflowing_sweep_exits_one(capsys):
-    code, out, err = run(
-        capsys, "sweep", "va", "--grid", "1e159:1e160:2", "--vb", "1e160", "--t", "0.5"
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "va", "--grid", "1e159:1e160:2", "--vb", "1e160", "--t", "0.5"],
+        # cos(2 phi)^2 (1 + va) va vb overflows at phi = 0 alone
+        ["sweep", "phi", "--grid=-0.5:0.5:3", "--va", "3.6e102", "--vb", "3.6e102", "--t", "1"],
+    ],
+    ids=["every-row", "middle-row"],
+)
+def test_overflowing_sweep_exits_one(argv, capsys):
+    code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert "overflow" in err

@@ -33,6 +33,7 @@ def random_params(rng: np.random.Generator) -> model.SetupParams:
         {"va": 1, "vb": 1, "t": 1, "t2": -0.5},
         {"va": 1, "vb": 1, "t": 1, "pulses": 0},
         {"va": 1, "vb": 1, "t": 1, "pulses": 2.5},
+        {"va": 1, "vb": 1, "t": 1, "pulses": 10**400},  # no finite float
     ],
 )
 def test_setup_params_rejects_bad_values(kwargs):
@@ -524,3 +525,58 @@ def test_observable_bounds_on_random_grid():
         assert 0.0 <= obs.visibility <= 1.0
         assert 0.0 <= obs.gamma12 <= 1.0
         assert obs.n_minus_var >= 0.0
+
+
+# --------------------------------------------------------------------- grids
+
+
+def _grid_bases() -> list[model.SetupParams]:
+    """Seeded points with t2 < 1 and dark ones (va = 0, vb_eff = 0),
+    va = vb = 3.5e102 at t = 1, whose N1 - N2 variance, 1.715e308, is
+    finite while amplitude^2 + variance is not, and a point of ints."""
+    rng = np.random.default_rng(41)
+    bases = [replace(random_params(rng), t2=float(rng.uniform(0.05, 1.0)), pulses=7) for _ in range(3)]
+    bases += [replace(random_params(rng), va=0.0), replace(random_params(rng), t2=0.0)]
+    bases.append(model.SetupParams(va=3.5e102, vb=3.5e102, t=1.0))
+    bases.append(model.SetupParams(va=3, vb=2, t=1))  # int fields, float results
+    return bases
+
+
+_GRID_RANGES = {"va": (0.0, 10.0), "vb": (0.0, 10.0), "t": (0.0, 1.0), "t2": (0.0, 1.0)}
+
+
+@pytest.mark.parametrize("field", model.GRID_FIELDS)
+def test_a_grid_equals_its_points_bit_for_bit(field):
+    rng = np.random.default_rng(43)
+    low, high = _GRID_RANGES.get(field, (-10.0, 10.0))
+    dark = 0
+    for base in _grid_bases():
+        values = [getattr(base, field), low, high, *(float(v) for v in rng.uniform(low, high, 1000))]
+        grid = model.observables(base, field, values)
+        for index, value in enumerate(values):
+            point_params = replace(base, **{field: value})
+            point = model.observables(point_params)
+            assert all(type(v) is float for v in vars(point).values())
+            for name, expected in vars(point).items():
+                column = getattr(grid, name)
+                assert isinstance(column, np.ndarray) and column.shape == (len(values),)
+                got = column[index]
+                assert got == expected or (math.isnan(got) and math.isnan(expected)), (name, value)
+            if point_params.va * point_params.vb_effective == 0.0:
+                dark += 1
+                assert math.isnan(point.phase_2phi)
+                assert point.visibility == point.snr == 0.0
+    assert dark > 0
+
+
+def test_a_grid_is_refused_where_a_point_would_be():
+    base = model.SetupParams(va=1.0, vb=1.0, t=0.5)
+    with pytest.raises(ValueError, match="t must lie in"):
+        model.observables(base, "t", [0.2, 1.5, 0.4])
+    with pytest.raises(ValueError, match="va must be finite"):
+        model.observables(base, "va", [1.0, math.nan])
+    with pytest.raises(ValueError, match="cannot vary 'pulses'"):
+        model.observables(base, "pulses", [1, 2])
+    # only the middle point overflows, and the refusal names it
+    with pytest.raises(ValueError, match=r"overflow at va=1e\+200"):
+        model.observables(replace(base, vb=1e200), "va", [1.0, 1e200, 2.0])
