@@ -149,8 +149,10 @@ def chain(*maps: GaussianMap) -> GaussianMap:
     return total
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validate(transform: GaussianMap) -> ValidationReport:
-    """Measure how well `transform` preserves the commutation relations."""
+    """Measure how well `transform` preserves the commutation relations: a
+    residual is inf or NaN, with no numpy warning, where its products overflow."""
     u, v = transform.u, transform.v
     eye = np.eye(transform.n_modes)
     commutator = np.abs(u @ u.conj().T - v @ v.conj().T - eye).max()

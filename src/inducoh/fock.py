@@ -44,8 +44,8 @@ mode gathers each image from psi; two images pair only when they share a
 sector.  Number means and covariances come from |psi|^2 and the occupation
 table alone, with no Wick formula.
 
-The interferometer is `model.network`, the element list the Gaussian
-engine also evaluates; `simulate_network` applies it element by element.
+The interferometer is `model.network` and `model.DETECTION`, the elements
+the Gaussian engine also evaluates; `simulate_network` applies each.
 
 No state is copied that need not be: `FockState` keeps its amplitudes
 C-contiguous and read-only, and takes an array that already is both (and
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .model import PHASE, SPLIT, SQUEEZE, SetupParams, network
+from .model import DETECTION, PHASE, SPLIT, SQUEEZE, SetupParams, network
 
 # A moment weighted by N^k errs by up to about cutoff^k times the top-level
 # population: at cutoff 12, ~25 times it for second moments and ~115 times for
@@ -261,7 +261,7 @@ def _populations(psi: np.ndarray, levels: tuple, n_modes: int) -> NDArray[np.flo
 
 @functools.lru_cache(maxsize=16)
 def _pair_eigensystem(cutoff: int, kind: str) -> tuple:
-    """(w, v) with i K = V diag(w) V^dag on each block of K.
+    """(w, v, vh) with i K = V diag(w) V^dag on each block of K, vh = V^dag.
 
     Block b holds the pair states with n_a - n_b + cutoff = b (squeezer) or
     n_a + n_b = b (splitter), rows running over n_a from max(0, b - cutoff);
@@ -285,9 +285,10 @@ def _pair_eigensystem(cutoff: int, kind: str) -> tuple:
         generator[np.arange(1, size), np.arange(size - 1)] = weight
         generator[np.arange(size - 1), np.arange(1, size)] = -weight
         w[block, :size], v[block, :size, :size] = np.linalg.eigh(1j * generator)
-    for cached in (w, v):
+    vh = np.ascontiguousarray(v.conj().transpose(0, 2, 1))
+    for cached in (w, v, vh):
         cached.setflags(write=False)
-    return w, v
+    return w, v, vh
 
 
 @functools.lru_cache(maxsize=32)
@@ -334,8 +335,8 @@ def _apply_pair(state: FockState, a: int, b: int, kind: str, angle: float) -> np
     if not angle:
         return psi
     gather, place = _pair_layout(state.sector, a, b, kind)
-    w, v = _pair_eigensystem(state.cutoff, kind)
-    units = ((v * np.exp(-1j * angle * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)).real
+    w, v, vh = _pair_eigensystem(state.cutoff, kind)
+    units = ((v * np.exp(-1j * angle * w)[:, None, :]) @ vh).real
     out = (units @ psi[gather].view(np.float64)).view(np.complex128)
     return out.reshape(-1)[place]
 
@@ -531,13 +532,14 @@ def _charges(n_modes: int, elements: list[tuple]) -> tuple[int, ...]:
 
 
 def simulate_network(params: SetupParams, cutoff: int) -> FockState:
-    """Run `model.network` from vacuum in truncated Fock space.
+    """Run `model.network` and `model.DETECTION` from vacuum in Fock space.
 
-    Same elements and mode layout as the Gaussian engine's
-    `model.build_network`, computed entirely through Fock-space unitaries
-    on the vacuum's charge sector.
+    Same elements and mode layout as the Gaussian engine's detector map
+    (`model.engine_moments`), computed entirely through Fock-space
+    unitaries on the vacuum's charge sector.
     """
     n, elements = network(params)
+    elements.append(DETECTION)
     # looked up per call, not at import, so rebinding a module attribute
     # (as a tracer does) reaches the propagation
     apply = {SQUEEZE: apply_two_mode_squeezer, PHASE: apply_phase, SPLIT: apply_beam_splitter}

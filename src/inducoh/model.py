@@ -7,9 +7,10 @@ A even though the two signals never interacted.  Both signals meet on a
 balanced splitter and the detector counts show fringes in the pump
 phase difference.
 
-`network` alone knows the layout; the Gaussian engine (`build_network`)
-and the Fock oracle (`fock.simulate_network`) both evaluate its element
-list, passing each element's arguments verbatim to the constructor or
+`network` alone knows the layout up to the arm plane, and `DETECTION`
+is the balanced splitter after it.  The Gaussian engine (`engine_moments`)
+and the Fock oracle (`fock.simulate_network`) both evaluate these
+elements, passing each element's arguments verbatim to the constructor or
 `apply_*` function of its kind.  Its modes are
 
     0  signal of crystal A
@@ -36,7 +37,7 @@ from .bogoliubov import (
     _check_phase,
     beam_splitter,
     chain,
-    compose,  # unused here; bench/tests/test_bench.py requires the binding
+    compose,
     phase_shifter,
     two_mode_squeezer,
 )
@@ -55,14 +56,11 @@ IDLER = 2
 FILTER_PORT = 3
 BALANCE_PORT = 4
 
-AFTER_CRYSTALS = "after_crystals"
-FULL = "full"
-
 SQUEEZE = "squeeze"
 PHASE = "phase"
 SPLIT = "split"
 
-_DETECTION = (SPLIT, SIGNAL_A, SIGNAL_B, 0.5)
+DETECTION = (SPLIT, SIGNAL_A, SIGNAL_B, 0.5)
 
 SCAN_POINTS = 32
 
@@ -183,19 +181,17 @@ class RegimeReport:
     validity: float
 
 
-def network(params: SetupParams, cut: str = FULL) -> tuple[int, list[tuple]]:
-    """Mode count and element list of the interferometer up to the given plane.
+def network(params: SetupParams) -> tuple[int, list[tuple]]:
+    """Mode count and element list of the interferometer up to the arm plane.
 
     Elements come in order of traversal as (SQUEEZE, signal, idler, gain,
     pump_phase), (PHASE, mode, phase) and (SPLIT, mode_a, mode_b,
     transmittance), arguments in the order both evaluators take them:
     the `bogoliubov` constructors after the mode count, the `fock.apply_*`
-    functions after the state.  `cut="after_crystals"` stops after
-    crystal B (and the optional signal-B attenuator); `cut="full"` appends
-    the balanced splitter in front of the detectors.
+    functions after the state.  The list stops after crystal B and the
+    optional signal-B attenuator; `DETECTION`, an element of the same
+    form, follows it in front of the detectors.
     """
-    if cut not in (AFTER_CRYSTALS, FULL):
-        raise ValueError(f"unknown cut {cut!r}")
     n = 4 if params.t2 >= 1.0 else 5
     elements = [
         (SQUEEZE, SIGNAL_A, IDLER, params.gain_a, params.theta_a),
@@ -205,8 +201,6 @@ def network(params: SetupParams, cut: str = FULL) -> tuple[int, list[tuple]]:
     ]
     if n == 5:
         elements.append((SPLIT, SIGNAL_B, BALANCE_PORT, params.t2))
-    if cut == FULL:
-        elements.append(_DETECTION)
     return n, elements
 
 
@@ -219,9 +213,9 @@ def _gaussian(n: int, element: tuple) -> GaussianMap:
     return build[kind](n, *args)
 
 
-def build_network(params: SetupParams, cut: str = FULL) -> GaussianMap:
-    """Bogoliubov transform of the interferometer up to the given plane."""
-    n, elements = network(params, cut)
+def build_network(params: SetupParams) -> GaussianMap:
+    """Bogoliubov transform of the interferometer up to the arm plane."""
+    n, elements = network(params)
     return chain(*(_gaussian(n, element) for element in elements))
 
 
@@ -231,7 +225,7 @@ def fringe_phase(params: SetupParams) -> float:
     Not applicable (NaN) when either crystal arm is dark, since no
     fringe exists to carry the phase.
     """
-    return _phase(params.va * params.vb_effective, params.fringe_2phi)
+    return _phase(params.va * params.vb_effective, _finite_2phi(params.fringe_2phi))
 
 
 def snr_ratio(params: SetupParams) -> float:
@@ -240,7 +234,7 @@ def snr_ratio(params: SetupParams) -> float:
     Always in (0, 1]; equals 1 at t = 0 and approaches 1 at large
     va * t * cos^2(2 phi).
     """
-    cos_sq = math.cos(params.fringe_2phi) ** 2
+    cos_sq = math.cos(_finite_2phi(params.fringe_2phi)) ** 2
     va, t = params.va, params.t
     return 1.0 - t * va / (2.0 * (1.0 + va) * (1.0 + 2.0 * va * t * cos_sq))
 
@@ -372,9 +366,13 @@ def regime_report(params: SetupParams) -> tuple[RegimeReport, ...]:
     )
 
 
-def engine_moments(params: SetupParams, cut: str = FULL) -> MomentSet:
-    """Second moments of the network evaluated through the Gaussian engine."""
-    return moments_from_map(build_network(params, cut))
+def engine_moments(params: SetupParams) -> tuple[MomentSet, MomentSet]:
+    """Second moments at the arm plane and at the detectors, through the
+    Gaussian engine: one arm map and `DETECTION` composed onto it, each
+    validated before its moments are read."""
+    arm = build_network(params)
+    detectors = compose(_gaussian(arm.n_modes, DETECTION), arm)
+    return moments_from_map(arm), moments_from_map(detectors)
 
 
 def engine_observables(params: SetupParams) -> Observables:
@@ -383,18 +381,17 @@ def engine_observables(params: SetupParams) -> Observables:
     Serves as the dual evaluation path: no closed form enters except for
     the multi-pulse scaling of the SNR.
     """
-    arm = engine_moments(params, AFTER_CRYSTALS)
-    full = engine_moments(params, FULL)
+    arm, detectors = engine_moments(params)
     n1_arm = number_mean(arm, SIGNAL_A)
     n2_arm = number_mean(arm, SIGNAL_B)
-    n1_det = number_mean(full, SIGNAL_A)
-    n2_det = number_mean(full, SIGNAL_B)
+    n1_det = number_mean(detectors, SIGNAL_A)
+    n2_det = number_mean(detectors, SIGNAL_B)
     coherence = cross_correlation(arm, SIGNAL_A, SIGNAL_B)
     denom = math.sqrt(n1_arm * n2_arm)
     gamma = abs(coherence) / denom if denom > 0.0 else math.nan
     total = n1_arm + n2_arm
     vis = 2.0 * abs(coherence) / total if total > 0.0 else 0.0
-    mean, var = difference_statistics(full, SIGNAL_A, SIGNAL_B)
+    mean, var = difference_statistics(detectors, SIGNAL_A, SIGNAL_B)
     ratio = mean**2 / var if mean != 0.0 else 0.0
     return Observables(
         n1_det=n1_det,
@@ -459,7 +456,7 @@ def _closed_forms(va, vb, t, t2, theta_a, theta_b, idler_phase, pulses) -> Obser
     through `_each`, which applies `math` to every element of an array.
     """
     vb = t2 * vb  # vb_eff
-    two_phi = theta_a - theta_b + idler_phase
+    two_phi = _finite_2phi(theta_a - theta_b + idler_phase)
     n2_arm = (1.0 + t * va) * vb
     total = va + vb + va * vb * t
     # |<a_1'^dag a_2'>| = sqrt((1 + va) va vb_eff t)
@@ -523,6 +520,15 @@ def _phase(brightness, raw):
     return math.nan if brightness == 0.0 else _principal(raw)
 
 
+def _finite_2phi(two_phi):
+    """The phase sum 2 phi = theta_a - theta_b + idler_phase, a float or an
+    array along a grid, refused where it overflowed: each phase is finite,
+    their sum need not be."""
+    if not np.isfinite(two_phi).all():
+        raise ValueError("the phase sum theta_a - theta_b + idler_phase overflows")
+    return two_phi
+
+
 def _no_overflow(va, vb, *values) -> None:
     """Refuse where a product of the (finite) inputs overflowed to inf, or
     to NaN where an inf met a zero factor; a grid at its first such point."""
@@ -559,12 +565,12 @@ def fringe_scan(params: SetupParams) -> list[tuple[float, float, float]]:
     phases = grid.tolist()
     for alpha in phases:
         _check_phase(alpha)
-    arm = build_network(params, AFTER_CRYSTALS)
+    arm = build_network(params)
     require_valid(arm)
     detectors = [SIGNAL_A, SIGNAL_B]
     # rows[k] = W(grid[k])[detectors]: the splitter's rows with the
     # SIGNAL_A column turned by exp(i alpha)
-    rows = np.repeat(_gaussian(arm.n_modes, _DETECTION).u[None, detectors], SCAN_POINTS, axis=0)
+    rows = np.repeat(_gaussian(arm.n_modes, DETECTION).u[None, detectors], SCAN_POINTS, axis=0)
     rows[:, :, SIGNAL_A] *= np.exp(1j * grid)[:, None]
     out = rows @ arm.v
     counts = (out.real**2 + out.imag**2).sum(axis=2)

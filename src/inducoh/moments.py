@@ -51,9 +51,12 @@ def require_valid(transform: GaussianMap) -> None:
     the engine tolerance; moments of an ill-formed map would be meaningless."""
     report = validate(transform)
     if not report.ok:
+        residuals = (report.commutator_residual, report.symmetry_residual)
+        finite = np.isfinite(residuals).all()
         raise ValueError(
             "transform violates commutation invariants "
-            f"(residuals {report.commutator_residual:.3e}, {report.symmetry_residual:.3e})"
+            f"(residuals {residuals[0]:.3e}, {residuals[1]:.3e})"
+            + ("" if finite else ": the map's entries overflow when multiplied")
         )
 
 

@@ -126,7 +126,7 @@ def oracle_residual(params: model.SetupParams, cutoff: int) -> float | None:
         _, covariance = fock.number_moments(state)
     except fock.LeakageError:
         return None
-    ms = model.engine_moments(params)
+    _, ms = model.engine_moments(params)
     wick = moments.number_covariance(ms)
     residuals = (normal - ms.normal, anomalous - ms.anomalous, covariance - wick)
     return float(max(np.abs(residual).max() for residual in residuals))

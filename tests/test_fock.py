@@ -341,7 +341,7 @@ def test_flagged_state_refuses_observables():
 
 def test_induced_coherence_low_gain_anchor():
     params = model.SetupParams(va=math.sinh(0.05) ** 2, vb=math.sinh(0.05) ** 2, t=0.49)
-    n, elements = model.network(params, model.AFTER_CRYSTALS)
+    n, elements = model.network(params)
     state = fock.vacuum(n, 6)
     for kind, *args in elements:
         state = _APPLY[kind](state, *args)
@@ -375,7 +375,7 @@ def test_oracle_and_engine_agree_with_attenuator():
     assert means[0] == pytest.approx(engine.n1_det, abs=1e-7)
     assert means[1] == pytest.approx(engine.n2_det, abs=1e-7)
     assert abs(normal[0, 1]) == pytest.approx(
-        abs(model.engine_moments(params, model.FULL).normal[0, 1]), abs=1e-7
+        abs(model.engine_moments(params)[1].normal[0, 1]), abs=1e-7
     )
 
 
@@ -411,12 +411,13 @@ _APPLY = {
 
 
 def _full_space_network(params, cutoff):
-    """`model.network` propagated from the all-zero-charge vacuum, i.e. on the
-    full space, or the message of the LeakageError that refused it."""
+    """`model.network` and `model.DETECTION` propagated from the all-zero-charge
+    vacuum, i.e. on the full space, or the message of the LeakageError that
+    refused it."""
     n, elements = model.network(params)
     state = fock.vacuum(n, cutoff)
     try:
-        for kind, *args in elements:
+        for kind, *args in [*elements, model.DETECTION]:
             state = _APPLY[kind](state, *args)
     except fock.LeakageError as error:
         return str(error)

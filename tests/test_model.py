@@ -1,6 +1,7 @@
 """Closed forms, optimizer, regimes, and the engine/closed-form duality."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -59,26 +60,21 @@ def test_network_without_gain_emits_nothing():
     params = model.SetupParams(va=0, vb=0, t=0.7)
     obs = model.observables(params)
     assert obs.n1_det == 0.0 and obs.n2_det == 0.0
-    ms = model.engine_moments(params, model.FULL)
-    assert np.all(ms.normal == 0)
+    for ms in model.engine_moments(params):
+        assert np.all(ms.normal == 0)
 
 
 @pytest.mark.parametrize("t2, n_modes", [(1.0, 4), (0.3, 5)])
 def test_full_network_is_the_crystals_plus_the_detection_split(t2, n_modes):
     params = model.SetupParams(va=1.5, vb=0.4, t=0.6, t2=t2, theta_a=0.2, theta_b=1.3, idler_phase=0.8)
-    n_full, full = model.network(params, model.FULL)
-    n_arm, arm = model.network(params, model.AFTER_CRYSTALS)
-    assert n_full == n_arm == n_modes
-    assert full == arm + [(model.SPLIT, model.SIGNAL_A, model.SIGNAL_B, 0.5)]
+    n, arm = model.network(params)
+    assert n == n_modes
+    assert model.DETECTION == (model.SPLIT, model.SIGNAL_A, model.SIGNAL_B, 0.5)
     attenuator = (model.SPLIT, model.SIGNAL_B, model.BALANCE_PORT, t2)
     assert (attenuator in arm) == (t2 < 1.0)
+    full = [*arm, model.DETECTION]
     modes = [m for kind, *args in full for m in (args[:1] if kind == model.PHASE else args[:2])]
     assert set(modes) == set(range(n_modes))
-
-
-def test_build_network_rejects_an_unknown_cut():
-    with pytest.raises(ValueError, match="unknown cut"):
-        model.build_network(model.SetupParams(va=0.1, vb=0.1, t=1), cut="nowhere")
 
 
 def test_network_grows_to_five_modes_only_when_attenuating():
@@ -91,7 +87,7 @@ def test_network_grows_to_five_modes_only_when_attenuating():
 @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
 def test_full_network_counts_match_closed_form(va, vb, t):
     params = model.SetupParams(va=va, vb=vb, t=t, theta_a=0.6)
-    ms = model.engine_moments(params, model.FULL)
+    _, ms = model.engine_moments(params)
     obs = model.observables(params)
     assert float(ms.normal[0, 0].real) == pytest.approx(obs.n1_det, rel=1e-10, abs=1e-10)
     assert float(ms.normal[1, 1].real) == pytest.approx(obs.n2_det, rel=1e-10, abs=1e-10)
@@ -178,6 +174,34 @@ def test_engine_phase_agrees_with_closed_form():
         engine = model.engine_observables(params).phase_2phi
         gap = (engine - params.fringe_2phi) % (2 * math.pi)
         assert min(gap, 2 * math.pi - gap) < 1e-9
+
+
+# each phase is finite, but theta_a - theta_b overflows to inf
+_OVERFLOWING_2PHI = model.SetupParams(va=1, vb=1, t=1, theta_a=1e308, theta_b=-1e308)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        model.observables,
+        lambda params: model.observables(params, "theta_a", [0.0, 1e308]),
+        model.fringe_phase,
+        model.snr_ratio,
+    ],
+    ids=["observables", "observables-grid", "fringe_phase", "snr_ratio"],
+)
+def test_closed_forms_refuse_an_overflowing_phase_sum(evaluate):
+    with pytest.raises(ValueError, match=r"theta_a - theta_b \+ idler_phase overflows"):
+        evaluate(_OVERFLOWING_2PHI)
+
+
+def test_engine_answers_where_the_phase_sum_overflows():
+    """The engine turns each phase on its own, and the visibility does not
+    depend on the phases."""
+    engine = model.engine_observables(_OVERFLOWING_2PHI)
+    closed = model.observables(replace(_OVERFLOWING_2PHI, theta_a=0.0, theta_b=0.0))
+    assert engine.visibility == pytest.approx(closed.visibility, rel=1e-9)
+    assert engine.n1_det + engine.n2_det == pytest.approx(closed.n1_det + closed.n2_det, rel=1e-9)
 
 
 # ------------------------------------------------------------------ coherence
@@ -434,6 +458,84 @@ def test_engine_matches_closed_forms_on_random_grid():
         assert engine.n_minus_var == pytest.approx(closed.n_minus_var, rel=1e-9)
 
 
+def _high_gain_grid() -> list[model.SetupParams]:
+    """va = vb from 1e2 to 1e4 at three filter and two attenuator settings,
+    all phases 0: 150 points, some of whose engine maps are refused."""
+    return [
+        model.SetupParams(va=va, vb=va, t=t, t2=t2)
+        for va in np.geomspace(1e2, 1e4, 25).tolist()
+        for t in (1.0, 0.5, 0.1)
+        for t2 in (1.0, 0.3)
+    ]
+
+
+_ELEMENTS = {
+    model.SQUEEZE: bogoliubov.two_mode_squeezer,
+    model.PHASE: bogoliubov.phase_shifter,
+    model.SPLIT: bogoliubov.beam_splitter,
+}
+
+
+def _per_plane_moments(params):
+    """The engine's two moment sets from their definition: a chain over
+    `network`, `DETECTION` composed onto it, and each plane's moments."""
+    n, elements = model.network(params)
+    arm = bogoliubov.chain(*(_ELEMENTS[kind](n, *args) for kind, *args in elements))
+    kind, *args = model.DETECTION
+    detectors = bogoliubov.compose(_ELEMENTS[kind](n, *args), arm)
+    return moments_from_map(arm), moments_from_map(detectors)
+
+
+def _engine_equals_per_plane_reference(params) -> bool:
+    """Assert that `engine_moments` equals the per-plane reference bit for bit,
+    or refuses with the same message; True where it refuses."""
+    try:
+        reference = _per_plane_moments(params)
+    except ValueError as error:
+        with pytest.raises(ValueError) as refusal:
+            model.engine_moments(params)
+        assert str(refusal.value) == str(error)
+        return True
+    for engine, expected in zip(model.engine_moments(params), reference, strict=True):
+        assert np.array_equal(engine.normal, expected.normal)
+        assert np.array_equal(engine.anomalous, expected.anomalous)
+    return False
+
+
+def test_engine_moments_equal_the_per_plane_reference():
+    rng = np.random.default_rng(19)
+    for draw in range(240):
+        brightness_max = 1e3 if draw % 3 == 0 else 10.0
+        params = model.SetupParams(
+            va=float(rng.uniform(0, brightness_max)),
+            vb=float(rng.uniform(0, brightness_max)),
+            t=float(rng.uniform(0, 1)),
+            t2=float(rng.uniform(0.05, 1)) if draw % 4 == 3 else 1.0,
+            theta_a=float(rng.uniform(0, 2 * math.pi)),
+            theta_b=float(rng.uniform(0, 2 * math.pi)),
+            idler_phase=float(rng.uniform(0, 2 * math.pi)),
+        )
+        assert not _engine_equals_per_plane_reference(params)
+
+
+def test_engine_moments_equal_the_per_plane_reference_at_high_gain():
+    refused = sum(map(_engine_equals_per_plane_reference, _high_gain_grid()))
+    assert 0 < refused < 150
+
+
+@pytest.mark.parametrize("va", [1e160, 1e300])
+@pytest.mark.parametrize(
+    "evaluate", [model.engine_observables, model.engine_moments, model.fringe_scan]
+)
+def test_engine_refuses_an_overflowing_map_without_numpy_warnings(evaluate, va):
+    """The commutator products of such a map overflow; the refusal says so,
+    and no RuntimeWarning escapes first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="commutation invariants .*overflow"):
+            evaluate(model.SetupParams(va=va, vb=va, t=1))
+
+
 # ---------------------------------------------------------------- fringe scan
 
 
@@ -457,7 +559,7 @@ def test_fringe_scan_conserves_energy():
 
 def _composed_scan(params):
     """The scan as one composed map per phase: splitter . phase(alpha) . arm."""
-    arm = model.build_network(params, model.AFTER_CRYSTALS)
+    arm = model.build_network(params)
     n = arm.n_modes
     splitter = bogoliubov.beam_splitter(n, model.SIGNAL_A, model.SIGNAL_B, 0.5)
     grid = -params.fringe_2phi + np.arange(model.SCAN_POINTS) * (2 * math.pi / model.SCAN_POINTS)
@@ -497,24 +599,21 @@ def test_fringe_scan_refuses_non_finite_phase():
 
 def test_fringe_scan_refuses_exactly_the_invalid_arm_maps():
     refused = 0
-    for va in np.geomspace(1e2, 1e4, 25).tolist():
-        for t in (1.0, 0.5, 0.1):
-            for t2 in (1.0, 0.3):
-                params = model.SetupParams(va=va, vb=va, t=t, t2=t2)
-                arm = model.build_network(params, model.AFTER_CRYSTALS)
-                if not bogoliubov.validate(arm).ok:
-                    refused += 1
-                    with pytest.raises(ValueError, match="commutation invariants"):
-                        model.fringe_scan(params)
-                    with pytest.raises(ValueError, match="commutation invariants"):
-                        _composed_scan(params)
-                    continue
-                # a valid arm map gives the closed-form counts, even where
-                # rounding in a composed map pushes it past the tolerance;
-                # all phases are zero, so the first row is the fringe top
-                closed = model.observables(params)
-                _, n1, n2 = model.fringe_scan(params)[0]
-                assert (n1, n2) == pytest.approx((closed.n1_det, closed.n2_det), rel=1e-9)
+    for params in _high_gain_grid():
+        arm = model.build_network(params)
+        if not bogoliubov.validate(arm).ok:
+            refused += 1
+            with pytest.raises(ValueError, match="commutation invariants"):
+                model.fringe_scan(params)
+            with pytest.raises(ValueError, match="commutation invariants"):
+                _composed_scan(params)
+            continue
+        # a valid arm map gives the closed-form counts, even where
+        # rounding in a composed map pushes it past the tolerance;
+        # all phases are zero, so the first row is the fringe top
+        closed = model.observables(params)
+        _, n1, n2 = model.fringe_scan(params)[0]
+        assert (n1, n2) == pytest.approx((closed.n1_det, closed.n2_det), rel=1e-9)
     assert 0 < refused < 150
 
 

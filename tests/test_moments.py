@@ -66,14 +66,14 @@ def test_arm_counts_at_the_pre_splitter_plane():
     """First arm carries va photons, second (1 + t va) vb."""
     for vb in (0.3, 1.0, 4.0):
         params = model.SetupParams(va=1.0, vb=vb, t=0.5)
-        ms = model.engine_moments(params, model.AFTER_CRYSTALS)
+        ms, _ = model.engine_moments(params)
         assert moments.number_mean(ms, model.SIGNAL_A) == pytest.approx(1.0, rel=1e-12)
         assert moments.number_mean(ms, model.SIGNAL_B) == pytest.approx(1.5 * vb, rel=1e-12)
 
 
 def test_detector_count_at_bright_fringe():
     params = model.SetupParams(va=1.0, vb=1.0, t=1.0)
-    ms = model.engine_moments(params, model.FULL)
+    _, ms = model.engine_moments(params)
     expected = 0.5 * 3.0 * (1.0 + 2.0 * math.sqrt(2.0) / 3.0)
     assert moments.number_mean(ms, 0) == pytest.approx(expected, rel=1e-12)
 
@@ -123,7 +123,7 @@ def test_difference_statistics_against_closed_forms():
         (0.25, 1.0, 4.0), (0.25, 1.0, 4.0), (0.0, 0.3, 0.7, 1.0), (0.0, math.pi / 6, math.pi / 4)
     ):
         params = model.SetupParams(va=va, vb=vb, t=t, theta_a=2 * phi)
-        ms = model.engine_moments(params, model.FULL)
+        _, ms = model.engine_moments(params)
         mean, var = moments.difference_statistics(ms, 0, 1)
         expected_mean = 2.0 * math.sqrt((1 + va) * va * vb * t) * math.cos(2 * phi)
         expected_excess = va + vb + va * vb * (2.0 - t)
@@ -134,7 +134,7 @@ def test_difference_statistics_against_closed_forms():
 def test_difference_mean_zero_for_decoupled_crystals():
     for phi in np.linspace(0, 2 * math.pi, 7):
         params = model.SetupParams(va=0.7, vb=0.7, t=0.0, theta_a=phi)
-        ms = model.engine_moments(params, model.FULL)
+        _, ms = model.engine_moments(params)
         mean, _ = moments.difference_statistics(ms, 0, 1)
         assert mean == pytest.approx(0.0, abs=1e-12)
 

@@ -38,7 +38,7 @@ def _per_pair_residual(params, cutoff):
     """Worst deviation from one ladder-operator correlation and one number
     covariance per mode pair."""
     state = fock.simulate_network(params, cutoff)
-    ms = model.engine_moments(params)
+    _, ms = model.engine_moments(params)
     worst = 0.0
     for i in range(ms.n_modes):
         for j in range(ms.n_modes):
