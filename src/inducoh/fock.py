@@ -25,24 +25,30 @@ Each two-mode element is exp(s K), K = a^dag b^dag - a b for a squeezer of
 gain s = r and K = a^dag b - b^dag a for a splitter of angle s = kappa,
 truncated at the cutoff.  K is real, antisymmetric and block diagonal in
 the conserved n_a - n_b (resp. n_a + n_b), so it is exponentiated exactly
-from cached per-block eigendecompositions.  A cached gather map lays the
-sector out as (conserved value, other modes, level of mode a) blocks, so
-one batched matmul applies the element.  A pump phase theta is no part of
-the pair unitary: the squeezer is e^{i theta n_a} exp(r K) e^{-i theta n_a},
-two phase shifts around the bare element.  The truncated evolution is
-exactly unitary, so truncation error shows up as population near the
-cutoff: `leakage_report` gives each mode's population in its top two
-levels, a squeezer refuses a state where one exceeds HARD_LEAKAGE_LIMIT,
-and every moment read refuses a state flagged unreliable: `moment_matrices`,
-its single entries `cross_correlation` and `pair_correlation`, and
-`number_moments`.
+from cached per-block eigendecompositions.  Each block is similar to -i J
+for a real symmetric tridiagonal J, so its exponential is real and comes
+from J's real eigensystem, one real batched product for all blocks
+(docs/pair_unitaries.md).  Two blocks whose n_a ranges complement each
+other share one slot of cutoff + 1 rows, so the 2 cutoff + 1 blocks fill
+cutoff + 1 slots.  A cached gather map lays the sector out as (slot, n_a,
+other modes), so one more batched matmul applies the element.  A pump
+phase theta is no part of the pair unitary: the squeezer is
+e^{i theta n_a} exp(r K) e^{-i theta n_a}: the rows of the gathered slots
+are multiplied by e^{-i theta n_a} before the product and by
+e^{i theta n_a} after it.  The truncated evolution is exactly unitary, so
+truncation error shows up as population near the cutoff: `leakage_report`
+gives each mode's population in its top two levels, a squeezer refuses a
+state where one exceeds HARD_LEAKAGE_LIMIT, and every moment read refuses
+a state flagged unreliable: `moment_matrices`, its single entries
+`cross_correlation` and `pair_correlation`, and `number_moments`.
 
 Second moments are inner products of ladder images, <a_i^dag a_j> =
 <a_i psi|a_j psi> and <a_i a_j> = <a_i^dag psi|a_j psi>.  a_j moves a state
-to the sector of charge Q - c_j, a_j^dag to Q + c_j, and a cached map per
-mode gathers each image from psi; two images pair only when they share a
-sector.  Number means and covariances come from |psi|^2 and the occupation
-table alone, with no Wick formula.
+to the sector of charge Q - c_j, a_j^dag to Q + c_j, and a cached plan
+gathers, in one step per image sector, every image that lies there; two
+images pair only when they share a sector.  Number means and covariances
+come from |psi|^2 and the occupation table alone, with no Wick formula:
+two matrix products against the table.
 
 The interferometer is `model.network` and `model.DETECTION`, the elements
 the Gaussian engine also evaluates; `simulate_network` applies each.
@@ -223,6 +229,14 @@ def _levels(sector: Sector) -> NDArray[np.int64]:
 
 
 @functools.lru_cache(maxsize=8)
+def _number_table(sector: Sector) -> NDArray[np.float64]:
+    """`_levels` as floats, the photon numbers that `number_moments` weighs."""
+    table = _levels(sector).astype(np.float64)
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=8)
 def _codes(sector: Sector) -> NDArray[np.int64]:
     """Each occupation read as a base-(cutoff+1) number: ascending, as the
     table is lexicographic, so a search finds an occupation's position."""
@@ -261,83 +275,104 @@ def _populations(psi: np.ndarray, levels: tuple, n_modes: int) -> NDArray[np.flo
 
 @functools.lru_cache(maxsize=16)
 def _pair_eigensystem(cutoff: int, kind: str) -> tuple:
-    """(w, v, vh) with i K = V diag(w) V^dag on each block of K, vh = V^dag.
+    """(lam, q, qt, sign) with exp(s K) = sign * (Q diag(cos s lam + sin s lam) Q^T)
+    on each slot of K, qt = Q^T; all real (docs/pair_unitaries.md).
 
-    Block b holds the pair states with n_a - n_b + cutoff = b (squeezer) or
-    n_a + n_b = b (splitter), rows running over n_a from max(0, b - cutoff);
-    K raises row k to row k + 1 with weight sqrt(n_a + 1) sqrt(n_b + 1)
-    (squeezer) or sqrt(n_a + 1) sqrt(n_b) (splitter), and lowers it back with
-    the opposite sign.  The 2 cutoff + 1 eigensystems are stacked, zero-padded
-    to cutoff + 1 levels, so that one batched product builds every block's
-    unitary: the padding only adds zero terms after the real ones."""
+    K is block diagonal: block b holds the pair states with n_a - n_b +
+    cutoff = b (squeezer) or n_a + n_b = b (splitter), n_a running from
+    max(0, b - cutoff), and K raises n_a to n_a + 1 with weight
+    sqrt(n_a + 1) sqrt(n_b + 1) (squeezer) or sqrt(n_a + 1) sqrt(n_b)
+    (splitter), and lowers it back with the opposite sign.  Slot b mod
+    (cutoff + 1) holds block b on the rows of its n_a: blocks b and
+    b + cutoff + 1 fill the cutoff + 1 rows of one slot between them.  So
+    K = D (-i J) D^-1, D = diag(i^n_a), for the real symmetric J with the
+    same weights on both off-diagonals, whose eigensystem J = Q diag(lam)
+    Q^T is taken block by block, so that the unitaries of two blocks in one
+    slot meet only in exact zeros.  J's eigenvalues pair as +-lam, so
+    cos(s J) lives on the even offsets k - l and sin(s J) on the odd ones,
+    and D's phases reduce to the fixed pattern sign[k, l] =
+    (-1)^floor((k - l) / 2)."""
     d = cutoff + 1
     root = np.sqrt(np.arange(1.0, d))  # root[m] = sqrt(m + 1)
-    w = np.zeros((2 * cutoff + 1, d))
-    v = np.zeros((2 * cutoff + 1, d, d), dtype=np.complex128)
+    lam = np.zeros((d, d))
+    q = np.zeros((d, d, d))
     for block in range(2 * cutoff + 1):
         n_a = np.arange(max(0, block - cutoff), min(block, cutoff) + 1)
         if kind == SQUEEZE:
             weight = root[n_a[:-1]] * root[n_a[:-1] - block + cutoff]
         else:
             weight = root[n_a[:-1]] * root[block - n_a[:-1] - 1]
-        size = n_a.size
-        generator = np.zeros((size, size))
-        generator[np.arange(1, size), np.arange(size - 1)] = weight
-        generator[np.arange(size - 1), np.arange(1, size)] = -weight
-        w[block, :size], v[block, :size, :size] = np.linalg.eigh(1j * generator)
-    vh = np.ascontiguousarray(v.conj().transpose(0, 2, 1))
-    for cached in (w, v, vh):
+        rows = slice(n_a[0], n_a[-1] + 1)
+        lam[block % d, rows], q[block % d, rows, rows] = np.linalg.eigh(
+            np.diag(weight, 1) + np.diag(weight, -1)
+        )
+    qt = np.ascontiguousarray(q.transpose(0, 2, 1))
+    offset = np.arange(d)[:, None] - np.arange(d)
+    sign = np.where(offset // 2 % 2, -1.0, 1.0)
+    for cached in (lam, q, qt, sign):
         cached.setflags(write=False)
-    return w, v, vh
+    return lam, q, qt, sign
 
 
 @functools.lru_cache(maxsize=32)
 def _pair_layout(sector: Sector, a: int, b: int, kind: str) -> tuple:
     """(gather, place) laying the sector out for a pair element on (a, b).
 
-    `gather`, (2 cutoff + 1, cutoff + 1, width), holds the sector index of
-    each slot: block as in `_pair_eigensystem`, then the level n_a -
-    max(0, block - cutoff), then the occupation of the other modes, numbered
-    within the block.  Padding slots point at amplitude 0.  `place` gives
-    each sector state's flat slot."""
+    `gather`, (cutoff + 1, cutoff + 1, width), holds the sector index of
+    each entry: slot as in `_pair_eigensystem`, then n_a, then the
+    occupation of the other modes, numbered within the block.  Padding
+    entries point at amplitude 0.  `place` gives each sector state's flat
+    entry."""
     table = _levels(sector)
     cutoff, n = sector.cutoff, sector.n_modes
     d = cutoff + 1
     n_a, n_b = table[a], table[b]
     block = n_a - n_b + cutoff if kind == SQUEEZE else n_a + n_b
-    level = n_a - np.maximum(block - cutoff, 0)
     span = d ** (n - 2)
     others = d ** np.arange(n - 3, -1, -1) @ np.delete(table, (a, b), axis=0)
     keys, column = np.unique(block * span + others, return_inverse=True)
     column = column - np.searchsorted(keys, keys // span * span)[column]
     width = int(column.max()) + 1
-    place = (block * d + level) * width + column
-    gather = np.zeros((2 * cutoff + 1) * d * width, dtype=np.intp)
+    place = (block % d * d + n_a) * width + column
+    gather = np.zeros(d * d * width, dtype=np.intp)
     gather[place] = np.arange(sector.size)
-    gather = gather.reshape(2 * cutoff + 1, d, width)
+    gather = gather.reshape(d, d, width)
     for cached in (gather, place):
         cached.setflags(write=False)
     return gather, place
 
 
-def _apply_pair(state: FockState, a: int, b: int, kind: str, angle: float) -> np.ndarray:
-    """Amplitudes of exp(angle K) on modes (a, b), the state's own for angle 0;
-    unchecked, so the caller runs `_check_charge` first.
+def _apply_pair(
+    state: FockState, a: int, b: int, kind: str, angle: float, phase: float = 0.0
+) -> np.ndarray:
+    """Amplitudes of e^{i phase n_a} exp(angle K) e^{-i phase n_a} on modes
+    (a, b), the state's own for angle 0; unchecked, so the caller runs
+    `_check_charge` first.
 
-    One gather lays the sector out in `_pair_layout`'s blocks, one batched
-    matmul applies each block's unitary, and one gather takes the result back
+    One gather lays the sector out in `_pair_layout`'s slots, one batched
+    matmul applies each slot's unitary, and one gather takes the result back
     to sector order.  Each block of exp(angle K) is real, as K is, so it acts
-    on the real and imaginary parts at once.  Padding slots hold copies of
-    amplitude 0: the padded unitaries' zero columns ignore them, and their
-    rows are never read back.
+    on the real and imaginary parts at once, and the rows of a slot are n_a
+    itself, so the phase factors act on the rows of the gathered slots.
+    Padding entries, the rows of a block that has no state in that column,
+    hold copies of amplitude 0: that block's unitary mixes them only among
+    themselves, as it meets the other block of its slot in exact zeros, and
+    they are never read back.
     """
     psi = state.amplitudes
     if not angle:
         return psi
     gather, place = _pair_layout(state.sector, a, b, kind)
-    w, v, vh = _pair_eigensystem(state.cutoff, kind)
-    units = ((v * np.exp(-1j * angle * w)[:, None, :]) @ vh).real
-    out = (units @ psi[gather].view(np.float64)).view(np.complex128)
+    lam, q, qt, sign = _pair_eigensystem(state.cutoff, kind)
+    turn = angle * lam
+    units = sign * ((q * (np.cos(turn) + np.sin(turn))[:, None, :]) @ qt)
+    slots = psi[gather]
+    if phase:
+        rotor = np.exp(1j * phase * np.arange(state.cutoff + 1.0))[:, None]
+        slots *= rotor.conj()
+    out = (units @ slots.view(np.float64)).view(np.complex128)
+    if phase:
+        out *= rotor
     return out.reshape(-1)[place]
 
 
@@ -386,9 +421,7 @@ def apply_two_mode_squeezer(
         raise ValueError(f"gain must be finite and >= 0, got {gain}")
     _check_phase(pump_phase)
     _check_charge(state, signal, idler, SQUEEZE)
-    turned = apply_phase(state, signal, -pump_phase)
-    squeezed = FockState(state.sector, _frozen(_apply_pair(turned, signal, idler, SQUEEZE, gain)))
-    new_state = _evolved(state, apply_phase(squeezed, signal, pump_phase).amplitudes)
+    new_state = _evolved(state, _apply_pair(state, signal, idler, SQUEEZE, gain, pump_phase))
     worst = leakage_report(new_state).max()
     if worst > HARD_LEAKAGE_LIMIT:
         raise LeakageError(
@@ -418,16 +451,15 @@ def leakage_report(state: FockState) -> NDArray[np.float64]:
     return _populations(state.amplitudes, _top_levels(state.sector)[1], state.n_modes)
 
 
-@functools.lru_cache(maxsize=32)
-def _ladder_map(sector: Sector, mode: int, create: bool) -> tuple:
-    """(target, source) for the image of the sector under a_mode, or under
+def _ladder_map(sector: Sector, mode: int, create: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(source, weight) for the image of the sector under a_mode, or under
     a_mode^dag with `create`.
 
-    `target` is the sector the image lies in, of charge shifted by -c_mode
-    (+c_mode), and `source`, one per target occupation t, the index of
-    t + e_mode (t - e_mode) in the sector, or `sector.size` where that
-    occupation leaves [0, cutoff]: with a 0 appended to psi, psi[source]
-    times sqrt(t_mode + 1) (sqrt(t_mode)) is the image.
+    The image lies in the sector of charge shifted by -c_mode (+c_mode).
+    `source`, one per occupation t of that sector, is the index of t + e_mode
+    (t - e_mode) in the sector, or `sector.size` where that occupation leaves
+    [0, cutoff], and `weight` is sqrt(t_mode + 1) (sqrt(t_mode)): with a 0
+    appended to psi, psi[source] * weight is the image.
     """
     step = -1 if create else 1
     target = Sector(sector.cutoff, sector.charges, sector.charge - step * sector.charges[mode])
@@ -436,8 +468,43 @@ def _ladder_map(sector: Sector, mode: int, create: bool) -> tuple:
     inside = (occupations[mode] >= 0) & (occupations[mode] <= sector.cutoff)
     source = np.full(target.size, sector.size, dtype=np.intp)
     source[inside] = _index(sector, occupations[:, inside])
-    source.setflags(write=False)
-    return target, source
+    return source, np.sqrt(occupations[mode] + create)
+
+
+@functools.lru_cache(maxsize=8)
+def _ladder_plan(sector: Sector) -> tuple:
+    """How `moment_matrices` builds and pairs the sector's ladder images: one
+    group per sector that an image a_j psi lies in.
+
+    A group is (source, weight, pairs): a row of `_ladder_map` for each
+    image a_j psi or a_i^dag psi that lies in that sector, and, for each
+    moment <a_i psi|a_j psi> (kind 0) or <a_i^dag psi|a_j psi> (kind 1) with
+    i <= j that pairs two of its rows, (bra row, ket row, kind, i, j).  Two
+    images in different sectors never pair: that moment would change the
+    charge, so it is 0."""
+    n, charges = sector.n_modes, sector.charges
+    groups = []
+    for charge in dict.fromkeys(sector.charge - c for c in charges):
+        rows = [
+            (create, mode)
+            for create in (False, True)
+            for mode in range(n)
+            if sector.charge + (charges[mode] if create else -charges[mode]) == charge
+        ]
+        size = Sector(sector.cutoff, charges, charge).size
+        source, weight = np.empty((len(rows), size), dtype=np.intp), np.empty((len(rows), size))
+        for row, (create, mode) in enumerate(rows):
+            source[row], weight[row] = _ladder_map(sector, mode, create)
+        for cached in (source, weight):
+            cached.setflags(write=False)
+        pairs = tuple(
+            (bra, ket, int(create), i, j)
+            for bra, (create, i) in enumerate(rows)
+            for ket, (raised, j) in enumerate(rows)
+            if not raised and i <= j
+        )
+        groups.append((source, weight, pairs))
+    return tuple(groups)
 
 
 def moment_matrices(state: FockState) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
@@ -445,30 +512,21 @@ def moment_matrices(state: FockState) -> tuple[NDArray[np.complex128], NDArray[n
 
     Each upper-triangle entry is one inner product of ladder images,
     <a_i psi|a_j psi> or <a_i^dag psi|a_j psi>, 0 where the two lie in
-    different sectors (the moment would change the charge); as all sectors
-    here share the cutoff and charges, two images share a sector when their
-    charges agree.  The normal matrix is Hermitian, with a real diagonal,
-    and the anomalous one symmetric, so the lower triangles are copies.
-    Raises LeakageError for a state flagged unreliable.
+    different sectors (the moment would change the charge).  One gather
+    builds all images that share a sector (`_ladder_plan`).  The normal
+    matrix is Hermitian, with a real diagonal, and the anomalous one
+    symmetric, so the lower triangles are copies.  Raises LeakageError for
+    a state flagged unreliable.
     """
     _check_reliable(state)
     psi = np.append(state.amplitudes, 0.0)
-    root = np.sqrt(np.arange(state.cutoff + 2.0))
-    n = state.n_modes
-    images = {}
-    for create in (False, True):
-        weights = root if create else root[1:]
-        for mode in range(n):
-            target, source = _ladder_map(state.sector, mode, create)
-            images[create, mode] = target.charge, psi[source] * weights[_levels(target)[mode]]
-    moments = np.zeros((2, n, n), dtype=np.complex128)
-    for kind, create in enumerate((False, True)):
-        for i in range(n):
-            for j in range(i, n):
-                (bra_charge, bra), (ket_charge, ket) = images[create, i], images[False, j]
-                if bra_charge == ket_charge:
-                    moments[kind, i, j] = value = np.vdot(bra, ket)
-                    moments[kind, j, i] = value if create else value.conjugate()
+    moments = np.zeros((2, state.n_modes, state.n_modes), dtype=np.complex128)
+    for source, weight, pairs in _ladder_plan(state.sector):
+        images = psi[source]
+        images *= weight
+        for bra, ket, kind, i, j in pairs:
+            moments[kind, i, j] = value = np.vdot(images[bra], images[ket])
+            moments[kind, j, i] = value if kind else value.conjugate()
     normal, anomalous = moments
     np.fill_diagonal(normal, normal.diagonal().real)
     return normal, anomalous
@@ -492,18 +550,16 @@ def number_moments(state: FockState) -> tuple[NDArray[np.float64], NDArray[np.fl
     """Photon-number means <N_i>, shape (n,), and covariances Cov(N_i, N_j), (n, n).
 
     Read off the joint number distribution |psi|^2 alone, with no Wick
-    formula: two products of it with the occupation table, n_i |psi|^2 and
-    n_i n_j |psi|^2 (i <= j), each summed over the sector.  Raises
-    LeakageError for a state flagged unreliable.
+    formula: with w = n |psi| over the occupation table, sum n_i |psi|^2 is
+    w @ |psi| and sum n_i n_j |psi|^2 is the Gram product w @ w^T, which
+    comes out exactly symmetric.  Raises LeakageError for a state flagged
+    unreliable.
     """
     _check_reliable(state)
-    levels = _levels(state.sector)
-    weighted = levels * (np.abs(state.amplitudes) ** 2)
-    means = weighted.sum(axis=1)
-    rows, cols = np.triu_indices(state.n_modes)
-    products = np.empty((state.n_modes, state.n_modes))
-    products[rows, cols] = products[cols, rows] = (weighted[rows] * levels[cols]).sum(axis=1)
-    return means, products - np.outer(means, means)
+    magnitude = np.abs(state.amplitudes)
+    weighted = _number_table(state.sector) * magnitude
+    means = weighted @ magnitude
+    return means, weighted @ weighted.T - np.outer(means, means)
 
 
 def _charges(n_modes: int, elements: list[tuple]) -> tuple[int, ...]:

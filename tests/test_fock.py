@@ -149,32 +149,56 @@ def _dense_pair_unitary(d, kind, angle, phase):
     return rotor[:, None] * ((v * np.exp(-1j * angle * w)) @ v.conj().T) * rotor.conj()
 
 
-@pytest.mark.parametrize(
-    "kind, angle, phase",
-    [(model.SQUEEZE, 0.37, 1.2), (model.SPLIT, 0.9, 0.0)],
-    ids=["squeezer-0.37-1.2", "splitter-0.9-0.0"],
-)
-def test_pair_unitary_matches_dense_exponential(kind, angle, phase):
+_PAIR_CASES = [
+    (kind, angle, phase, cutoff)
+    for cutoff in (1, 5, 12)
+    for kind, angle, phase in (
+        (model.SQUEEZE, 0.0, 1.2),
+        (model.SQUEEZE, 0.37, 1.2),
+        (model.SQUEEZE, -0.8, -2.3),
+        (model.SQUEEZE, 4.1, 0.6),
+        (model.SPLIT, 0.0, 0.0),
+        (model.SPLIT, 0.9, 0.0),
+        (model.SPLIT, -0.8, 0.0),
+        (model.SPLIT, 4.1, 0.0),
+    )
+]
+
+
+def _pair_case_id(case):
+    """kind-angle-phase, with the cutoff appended unless it is 5."""
+    kind, angle, phase, cutoff = case
+    name = "squeezer" if kind == model.SQUEEZE else "splitter"
+    return f"{name}-{angle}-{phase}" + ("" if cutoff == 5 else f"-cutoff{cutoff}")
+
+
+@pytest.mark.parametrize("kind, angle, phase, cutoff", _PAIR_CASES, ids=map(_pair_case_id, _PAIR_CASES))
+def test_pair_unitary_matches_dense_exponential(kind, angle, phase, cutoff):
     """Every conserved-number block is evolved, on a full-space state populating
-    all of them.  The splitter goes through `apply_beam_splitter`; the squeezer
-    through the phase shifts and pair kernel that `apply_two_mode_squeezer`
-    composes, as its leakage check refuses any state with population in the
-    top levels."""
+    all of them, from one level up to thirteen, at angles 0, negative and past
+    pi.  The squeezer goes through the folded pump phase of the pair kernel
+    and, as a reference, through the composed `apply_phase` route; neither
+    goes through `apply_two_mode_squeezer`, whose leakage check refuses any
+    state with population in the top levels.  The splitter goes through the
+    pair kernel, and through `apply_beam_splitter` where its angle is one a
+    transmittance gives."""
     rng = np.random.default_rng(5)
-    d = 6
+    d = cutoff + 1
     psi = rng.normal(size=(d,) * 3) + 1j * rng.normal(size=(d,) * 3)
     moved = np.moveaxis(psi, (2, 0), (0, 1)).reshape(d * d, -1)
     expected = np.moveaxis(
         (_dense_pair_unitary(d, kind, angle, phase) @ moved).reshape((d,) * 3), (0, 1), (2, 0)
     )
     state = _full_space_state(psi)
-    if kind == model.SPLIT:
-        got = fock.apply_beam_splitter(state, 2, 0, math.cos(angle) ** 2)
-    else:
+    routes = [fock._apply_pair(state, 2, 0, kind, angle, phase)]
+    if kind == model.SPLIT and 0.0 <= angle <= math.pi / 2:
+        routes.append(fock.apply_beam_splitter(state, 2, 0, math.cos(angle) ** 2).amplitudes)
+    if kind == model.SQUEEZE:
         turned = fock.apply_phase(state, 2, -phase)
         squeezed = fock.FockState(state.sector, fock._apply_pair(turned, 2, 0, kind, angle))
-        got = fock.apply_phase(squeezed, 2, phase)
-    np.testing.assert_allclose(got.to_dense(), expected, rtol=0, atol=1e-12)
+        routes.append(fock.apply_phase(squeezed, 2, phase).amplitudes)
+    for amplitudes in routes:
+        np.testing.assert_allclose(amplitudes.reshape(psi.shape), expected, rtol=0, atol=1e-12)
 
 
 def _full_support_state(rng, n_modes, cutoff):
@@ -228,6 +252,39 @@ def test_moment_matrices_match_operator_reference():
     np.testing.assert_allclose(anomalous, expected_anomalous, rtol=0, atol=1e-14)
     np.testing.assert_array_equal(normal, normal.conj().T)
     assert np.abs(anomalous - anomalous.T).max() <= 1e-15
+
+
+def _number_moments_reference(state):
+    """<N_i> and Cov(N_i, N_j) summed term by term over the dense grid."""
+    dense = state.to_dense()
+    n = state.n_modes
+    means, products = np.zeros(n), np.zeros((n, n))
+    for occupation in np.ndindex(dense.shape):
+        weight = abs(dense[occupation]) ** 2
+        for i in range(n):
+            means[i] += occupation[i] * weight
+            for j in range(n):
+                products[i, j] += occupation[i] * occupation[j] * weight
+    return means, products - np.outer(means, means)
+
+
+@pytest.mark.parametrize("charged", [False, True], ids=["full-support", "charged-sector"])
+def test_number_moments_match_elementwise_reference(charged):
+    """Means and covariances on a full-support 3-mode state, top levels
+    included, and on random amplitudes over a sector of charges (1, -1, 0)
+    and charge 1; the covariance comes out exactly symmetric."""
+    rng = np.random.default_rng(23)
+    if charged:
+        sector = fock.Sector(6, (1, -1, 0), 1)
+        amps = rng.normal(size=sector.size) + 1j * rng.normal(size=sector.size)
+        state = fock.FockState(sector, amps / np.linalg.norm(amps))
+    else:
+        state = _full_space_state(_full_support_state(rng, 3, 4))
+    means, covariance = fock.number_moments(state)
+    expected_means, expected_covariance = _number_moments_reference(state)
+    np.testing.assert_allclose(means, expected_means, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(covariance, expected_covariance, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(covariance, covariance.T)
 
 
 def test_state_copies_what_it_cannot_trust():
