@@ -24,7 +24,6 @@ from .model import (
     RegimeReport,
     SetupParams,
     build_network,
-    fringe_phase,
     fringe_scan,
     fringe_visibility,
     observables,
@@ -53,7 +52,6 @@ __all__ = [
     "chain",
     "compose",
     "difference_statistics",
-    "fringe_phase",
     "fringe_scan",
     "fringe_visibility",
     "moments_from_map",

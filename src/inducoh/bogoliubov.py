@@ -11,10 +11,19 @@ commutation relations survive the map exactly when
 
 which every constructor in this module satisfies by construction and
 `validate` checks numerically for composites.
+
+No matrix is copied that need not be: `GaussianMap` keeps its matrices
+C-contiguous and read-only, and takes an array that already is both (and
+complex128) as it is, copying anything else.  The constructors and
+`compose` freeze the fresh arrays they build, so a map never copies them
+again to store them; whoever freezes an array vouches that it will not
+change.  The identity each constructor starts from, and the one
+`validate` subtracts, come from one frozen matrix per mode count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,10 +33,29 @@ from numpy.typing import NDArray
 DEFAULT_TOLERANCE = 1e-9
 
 
-def _frozen(matrix: NDArray) -> NDArray[np.complex128]:
-    out = np.array(matrix, dtype=np.complex128)
-    out.setflags(write=False)
-    return out
+def _stored(matrix) -> NDArray[np.complex128]:
+    """`matrix` itself if it is a read-only, C-contiguous complex128 array,
+    else a read-only C-contiguous complex128 copy."""
+    if (
+        isinstance(matrix, np.ndarray)
+        and matrix.dtype == np.complex128
+        and matrix.flags.c_contiguous
+        and not matrix.flags.writeable
+    ):
+        return matrix
+    return _frozen(np.array(matrix, dtype=np.complex128, order="C"))
+
+
+def _frozen(matrix: np.ndarray) -> np.ndarray:
+    """`matrix`, made read-only so that `_stored` keeps it uncopied."""
+    matrix.setflags(write=False)
+    return matrix
+
+
+@functools.lru_cache(maxsize=8)
+def _identity(n_modes: int) -> NDArray[np.complex128]:
+    """The complex identity on n modes, frozen; copy it to change it."""
+    return _frozen(np.eye(n_modes, dtype=np.complex128))
 
 
 @dataclass(frozen=True)
@@ -38,8 +66,8 @@ class GaussianMap:
     v: NDArray[np.complex128]
 
     def __post_init__(self) -> None:
-        u = _frozen(self.u)
-        v = _frozen(self.v)
+        u = _stored(self.u)
+        v = _stored(self.v)
         if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape != v.shape:
             raise ValueError(f"U and V must be equal square matrices, got {u.shape} and {v.shape}")
         object.__setattr__(self, "u", u)
@@ -95,13 +123,13 @@ def two_mode_squeezer(
     _check_phase(pump_phase)
     c = math.cosh(gain)
     s = math.sinh(gain) * complex(math.cos(pump_phase), math.sin(pump_phase))
-    u = np.eye(n_modes, dtype=complex)
-    v = np.zeros((n_modes, n_modes), dtype=complex)
+    u = _identity(n_modes).copy()
+    v = np.zeros((n_modes, n_modes), dtype=np.complex128)
     u[signal, signal] = c
     u[idler, idler] = c
     v[signal, idler] = s
     v[idler, signal] = s
-    return GaussianMap(u, v)
+    return GaussianMap(_frozen(u), _frozen(v))
 
 
 def beam_splitter(n_modes: int, mode_a: int, mode_b: int, transmittance: float) -> GaussianMap:
@@ -111,21 +139,21 @@ def beam_splitter(n_modes: int, mode_a: int, mode_b: int, transmittance: float) 
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError(f"intensity transmittance must lie in [0, 1], got {transmittance}")
     t, r = math.sqrt(transmittance), math.sqrt(1.0 - transmittance)
-    u = np.eye(n_modes, dtype=complex)
+    u = _identity(n_modes).copy()
     u[mode_a, mode_a] = t
     u[mode_a, mode_b] = r
     u[mode_b, mode_b] = t
     u[mode_b, mode_a] = -r
-    return GaussianMap(u, np.zeros((n_modes, n_modes)))
+    return GaussianMap(_frozen(u), _frozen(np.zeros((n_modes, n_modes), dtype=np.complex128)))
 
 
 def phase_shifter(n_modes: int, mode: int, phase: float) -> GaussianMap:
     """Single-mode phase shift a' = exp(i*phi) a."""
     _check_modes(n_modes, mode)
     _check_phase(phase)
-    u = np.eye(n_modes, dtype=complex)
+    u = _identity(n_modes).copy()
     u[mode, mode] = complex(math.cos(phase), math.sin(phase))
-    return GaussianMap(u, np.zeros((n_modes, n_modes)))
+    return GaussianMap(_frozen(u), _frozen(np.zeros((n_modes, n_modes), dtype=np.complex128)))
 
 
 def compose(second: GaussianMap, first: GaussianMap) -> GaussianMap:
@@ -136,7 +164,7 @@ def compose(second: GaussianMap, first: GaussianMap) -> GaussianMap:
         )
     u = second.u @ first.u + second.v @ first.v.conj()
     v = second.u @ first.v + second.v @ first.u.conj()
-    return GaussianMap(u, v)
+    return GaussianMap(_frozen(u), _frozen(v))
 
 
 def chain(*maps: GaussianMap) -> GaussianMap:
@@ -154,7 +182,7 @@ def validate(transform: GaussianMap) -> ValidationReport:
     """Measure how well `transform` preserves the commutation relations: a
     residual is inf or NaN, with no numpy warning, where its products overflow."""
     u, v = transform.u, transform.v
-    eye = np.eye(transform.n_modes)
+    eye = _identity(transform.n_modes)
     commutator = np.abs(u @ u.conj().T - v @ v.conj().T - eye).max()
     uvt = u @ v.T
     symmetry = np.abs(uvt - uvt.T).max()

@@ -27,6 +27,7 @@ exactly as the substitution vb -> t2 * vb.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -150,7 +151,9 @@ class Observables:
         sqrt(t (1 + va) / (1 + t va)).  It does not depend on vb or t2; at
         va = 0, where the engine evaluation degenerates to 0/0, it
         continues smoothly to sqrt(t).
-    phase_2phi: operational fringe phase, as `fringe_phase`.
+    phase_2phi: operational fringe phase 2 phi, principal value in
+        (-pi, pi]; NaN when either crystal arm is dark, since no fringe
+        exists to carry the phase.
     n_minus_mean, n_minus_var: mean and variance of the count difference
         N1 - N2.
     snr: single-pulse signal-to-noise ratio <N_->^2 / Var(N_-); 0 when dark.
@@ -219,13 +222,11 @@ def build_network(params: SetupParams) -> GaussianMap:
     return chain(*(_gaussian(n, element) for element in elements))
 
 
-def fringe_phase(params: SetupParams) -> float:
-    """Operational fringe phase 2*phi, principal value in (-pi, pi].
-
-    Not applicable (NaN) when either crystal arm is dark, since no
-    fringe exists to carry the phase.
-    """
-    return _phase(params.va * params.vb_effective, _finite_2phi(params.fringe_2phi))
+@functools.lru_cache(maxsize=4)
+def _detection(n: int) -> GaussianMap:
+    """Bogoliubov transform of `DETECTION` on n modes, built once per mode
+    count and shared: its matrices are read-only."""
+    return _gaussian(n, DETECTION)
 
 
 def snr_ratio(params: SetupParams) -> float:
@@ -369,9 +370,10 @@ def regime_report(params: SetupParams) -> tuple[RegimeReport, ...]:
 def engine_moments(params: SetupParams) -> tuple[MomentSet, MomentSet]:
     """Second moments at the arm plane and at the detectors, through the
     Gaussian engine: one arm map and `DETECTION` composed onto it, each
-    validated before its moments are read."""
+    validated before its moments are read.  The `DETECTION` map is built
+    once per mode count and shared with `fringe_scan`."""
     arm = build_network(params)
-    detectors = compose(_gaussian(arm.n_modes, DETECTION), arm)
+    detectors = compose(_detection(arm.n_modes), arm)
     return moments_from_map(arm), moments_from_map(detectors)
 
 
@@ -556,21 +558,23 @@ def fringe_scan(params: SetupParams) -> list[tuple[float, float, float]]:
     normal moments as N -> W* N W^T (Weedbrook et al., RMP 84, 621
     (2012)).  The arm map is built and validated once; each count is the
     squared norm of a detector row of W(alpha) V, see
-    docs/wick_covariance.md.
+    docs/wick_covariance.md.  The splitter is the `DETECTION` map that
+    `engine_moments` composes, built once per mode count.
     """
     # the counts vary as cos(2 phi + alpha), so a uniform grid starting at
     # alpha = -2 phi hits the maximum exactly and, as SCAN_POINTS is even,
     # the minimum as well
     grid = -params.fringe_2phi + np.arange(SCAN_POINTS) * (2.0 * math.pi / SCAN_POINTS)
     phases = grid.tolist()
-    for alpha in phases:
-        _check_phase(alpha)
+    finite = np.isfinite(grid)
+    if not finite.all():
+        _check_phase(phases[int(np.argmin(finite))])
     arm = build_network(params)
     require_valid(arm)
     detectors = [SIGNAL_A, SIGNAL_B]
     # rows[k] = W(grid[k])[detectors]: the splitter's rows with the
     # SIGNAL_A column turned by exp(i alpha)
-    rows = np.repeat(_gaussian(arm.n_modes, DETECTION).u[None, detectors], SCAN_POINTS, axis=0)
+    rows = np.repeat(_detection(arm.n_modes).u[None, detectors], SCAN_POINTS, axis=0)
     rows[:, :, SIGNAL_A] *= np.exp(1j * grid)[:, None]
     out = rows @ arm.v
     counts = (out.real**2 + out.imag**2).sum(axis=2)

@@ -19,21 +19,23 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .bogoliubov import GaussianMap, _check_modes, _frozen, validate
+from .bogoliubov import GaussianMap, _check_modes, _frozen, _stored, validate
 
 _IMAG_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class MomentSet:
-    """Normal (<a^dag a>) and anomalous (<a a>) second moments."""
+    """Normal (<a^dag a>) and anomalous (<a a>) second moments, stored as
+    `GaussianMap` stores its matrices: a read-only, C-contiguous complex128
+    array as it is, anything else as a frozen copy."""
 
     normal: NDArray[np.complex128]
     anomalous: NDArray[np.complex128]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "normal", _frozen(self.normal))
-        object.__setattr__(self, "anomalous", _frozen(self.anomalous))
+        object.__setattr__(self, "normal", _stored(self.normal))
+        object.__setattr__(self, "anomalous", _stored(self.anomalous))
 
     @property
     def n_modes(self) -> int:
@@ -69,7 +71,7 @@ def moments_from_map(transform: GaussianMap) -> MomentSet:
     v = transform.v
     normal = v.conj() @ v.T
     anomalous = transform.u @ v.T
-    return MomentSet(normal, anomalous)
+    return MomentSet(_frozen(normal), _frozen(anomalous))
 
 
 def number_mean(moments: MomentSet, mode: int) -> float:

@@ -304,6 +304,45 @@ def test_state_copies_what_it_cannot_trust():
         assert fock.FockState(sector, kept.amplitudes).amplitudes is kept.amplitudes
 
 
+@pytest.mark.parametrize("cutoff", [1, 5, 12])
+@pytest.mark.parametrize(
+    "charges", [None, (1, 1, -1, -1), (1, 1, -1, -1, 1)], ids=["full-space", "4-mode", "5-mode"]
+)
+def test_vacuum_is_the_all_zero_basis_state(charges, cutoff):
+    """`vacuum` sets entry 0 without a search: bit for bit the basis state
+    of no photons, on the full space and on the charge-0 sectors of both
+    network layouts."""
+    n = 4 if charges is None else len(charges)
+    state = fock.vacuum(n, cutoff, charges)
+    reference = fock.basis_state(n, cutoff, (0,) * n, charges)
+    assert state.sector == reference.sector
+    assert state.amplitudes.tobytes() == reference.amplitudes.tobytes()
+
+
+def test_repeated_splitter_angle_gives_the_same_bits():
+    """A pair unitary is kept per (cutoff, kind, angle): one transmittance
+    applied twice, and again after the cache is cleared, gives the same
+    amplitudes to the bit, and the kept unitary is read-only."""
+    state = fock.apply_two_mode_squeezer(fock.vacuum(3, 8, (1, -1, -1)), 0, 1, 0.2, 0.7)
+    runs = [fock.apply_beam_splitter(state, 1, 2, 0.5).amplitudes for _ in range(2)]
+    fock._pair_unitary.cache_clear()
+    runs.append(fock.apply_beam_splitter(state, 1, 2, 0.5).amplitudes)
+    assert runs[1].tobytes() == runs[0].tobytes() == runs[2].tobytes()
+    assert fock._pair_unitary.cache_info().currsize == 1
+    kappa = math.atan2(math.sqrt(0.5), math.sqrt(0.5))
+    assert not fock._pair_unitary(8, model.SPLIT, kappa).flags.writeable
+
+
+def test_sector_with_numpy_integers_equals_and_hashes_like_ints():
+    """Charges are stored as ints and the hash is taken once, so a sector
+    made from numpy integers finds the same cache entries."""
+    plain = fock.Sector(6, (1, -1, 0), 1)
+    numpy_built = fock.Sector(np.int64(6), tuple(np.array([1, -1, 0])), np.int64(1))
+    assert numpy_built == plain
+    assert hash(numpy_built) == hash(plain)
+    assert {plain: "found"}[numpy_built] == "found"
+
+
 def test_apply_outputs_are_frozen_and_c_contiguous():
     """The `apply_*` functions hand over fresh arrays that `FockState` stores
     uncopied, whatever the mode order."""

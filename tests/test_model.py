@@ -149,14 +149,14 @@ def test_visibility_uses_attenuated_brightness():
 
 def test_fringe_phase_follows_pump_phase_difference():
     params = model.SetupParams(va=1, vb=1, t=1, theta_a=math.pi / 2)
-    assert model.fringe_phase(params) == pytest.approx(math.pi / 2, abs=1e-12)
+    assert model.observables(params).phase_2phi == pytest.approx(math.pi / 2, abs=1e-12)
     both = model.SetupParams(va=1, vb=1, t=1, theta_a=0.9, theta_b=0.4)
-    assert model.fringe_phase(both) == pytest.approx(0.5, abs=1e-12)
+    assert model.observables(both).phase_2phi == pytest.approx(0.5, abs=1e-12)
 
 
 def test_fringe_phase_undefined_without_both_crystals():
-    assert math.isnan(model.fringe_phase(model.SetupParams(va=0, vb=1, t=1)))
-    assert math.isnan(model.fringe_phase(model.SetupParams(va=1, vb=0, t=1)))
+    assert math.isnan(model.observables(model.SetupParams(va=0, vb=1, t=1)).phase_2phi)
+    assert math.isnan(model.observables(model.SetupParams(va=1, vb=0, t=1)).phase_2phi)
 
 
 def test_idler_phase_of_pi_flips_the_fringe():
@@ -185,10 +185,9 @@ _OVERFLOWING_2PHI = model.SetupParams(va=1, vb=1, t=1, theta_a=1e308, theta_b=-1
     [
         model.observables,
         lambda params: model.observables(params, "theta_a", [0.0, 1e308]),
-        model.fringe_phase,
         model.snr_ratio,
     ],
-    ids=["observables", "observables-grid", "fringe_phase", "snr_ratio"],
+    ids=["observables", "observables-grid", "snr_ratio"],
 )
 def test_closed_forms_refuse_an_overflowing_phase_sum(evaluate):
     with pytest.raises(ValueError, match=r"theta_a - theta_b \+ idler_phase overflows"):
@@ -588,6 +587,20 @@ def test_fringe_scan_matches_composed_maps():
         for row, reference in zip(model.fringe_scan(params), _composed_scan(params)):
             assert row[0] == reference[0]
             assert row[1:] == pytest.approx(reference[1:], rel=1e-13, abs=0)
+
+
+def test_detection_map_is_built_once_per_mode_count():
+    """`engine_moments` and `fringe_scan` share one `DETECTION` map per mode
+    count: the splitter `DETECTION` names, with read-only matrices."""
+    for n in (4, 5):
+        shared = model._detection(n)
+        assert model._detection(n) is shared
+        fresh = bogoliubov.beam_splitter(n, *model.DETECTION[1:])
+        assert shared.u.tobytes() == fresh.u.tobytes()
+        assert shared.v.tobytes() == fresh.v.tobytes()
+        for matrix in (shared.u, shared.v):
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 2.0
 
 
 def test_fringe_scan_refuses_non_finite_phase():

@@ -5,6 +5,7 @@ simulator at cutoff 12 (see tests/test_fock.py for the generator-level
 checks of that path).
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -171,3 +172,29 @@ def test_index_validation():
         moments.cross_correlation(ms, -1, 0)
     with pytest.raises(ValueError):
         moments.difference_statistics(ms, 1, 1)
+
+
+def _matrices(held):
+    return [getattr(held, field.name) for field in dataclasses.fields(held)]
+
+
+@pytest.mark.parametrize("container", [bg.GaussianMap, moments.MomentSet])
+def test_matrices_are_copied_only_when_they_cannot_be_trusted(container):
+    """A writable, float or Fortran-ordered matrix is copied into a read-only
+    C-contiguous complex128 one; a matrix that already is all three is kept."""
+    writable = np.eye(2, dtype=np.complex128)
+    held = container(writable, writable)
+    writable[0, 0] = 5.0
+    assert all(matrix[0, 0] == 1.0 for matrix in _matrices(held))
+    frozen = np.eye(2, dtype=np.complex128)
+    frozen.setflags(write=False)
+    assert all(np.shares_memory(matrix, frozen) for matrix in _matrices(container(frozen, frozen)))
+    fortran = np.asfortranarray(np.arange(4.0).reshape(2, 2) + 0j)
+    fortran.setflags(write=False)
+    converted = _matrices(container(np.eye(2), np.zeros((2, 2))))
+    reordered = _matrices(container(fortran, fortran))
+    for matrix in converted + reordered:
+        assert matrix.dtype == np.complex128
+        assert matrix.flags.c_contiguous and not matrix.flags.writeable
+    assert converted[0].tolist() == [[1, 0], [0, 1]]
+    assert reordered[0].tolist() == [[0, 1], [2, 3]]

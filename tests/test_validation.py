@@ -84,5 +84,4 @@ def test_observables_equal_the_single_closed_forms_bit_for_bit():
     for _ in range(200):
         params = validation.random_setup(rng)
         obs = model.observables(params)
-        assert obs.phase_2phi == model.fringe_phase(params)
         assert obs.gamma12 == model.visibility_optimal(params.va, params.t)
