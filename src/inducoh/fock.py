@@ -104,8 +104,8 @@ class Sector:
     charge: int = 0
 
     def __post_init__(self) -> None:
-        if not self.charges:
-            raise ValueError("need at least one mode")
+        if len(self.charges) == 0:
+            raise ValueError(f"charges must name at least one mode, got {self.charges!r}")
         if self.cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
         object.__setattr__(self, "charges", tuple(int(c) for c in self.charges))

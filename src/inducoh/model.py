@@ -44,8 +44,8 @@ from .bogoliubov import (
 )
 from .moments import (
     MomentSet,
+    _read_moments,
     cross_correlation,
-    difference_statistics,
     moments_from_map,
     number_mean,
     require_valid,
@@ -369,12 +369,14 @@ def regime_report(params: SetupParams) -> tuple[RegimeReport, ...]:
 
 def engine_moments(params: SetupParams) -> tuple[MomentSet, MomentSet]:
     """Second moments at the arm plane and at the detectors, through the
-    Gaussian engine: one arm map and `DETECTION` composed onto it, each
-    validated before its moments are read.  The `DETECTION` map is built
-    once per mode count and shared with `fringe_scan`."""
+    Gaussian engine.  One arm map is built and validated; the detector
+    moments are read from `DETECTION` composed onto it, which is not
+    validated again: the splitter is passive (V = 0, unitary U), so the
+    product keeps the arm map's commutator invariants.  The `DETECTION`
+    map is built once per mode count and shared with `fringe_scan`."""
     arm = build_network(params)
-    detectors = compose(_detection(arm.n_modes), arm)
-    return moments_from_map(arm), moments_from_map(detectors)
+    at_arms = moments_from_map(arm)
+    return at_arms, _read_moments(compose(_detection(arm.n_modes), arm))
 
 
 def engine_observables(params: SetupParams) -> Observables:
@@ -382,6 +384,14 @@ def engine_observables(params: SetupParams) -> Observables:
 
     Serves as the dual evaluation path: no closed form enters except for
     the multi-pulse scaling of the SNR.
+
+    N1 - N2 is read at the arm plane, not as the difference of the two
+    detector counts: behind the 50:50 splitter `DETECTION` it equals
+    a_A^dag a_B + a_B^dag a_A, so its mean is 2 Re c and, by Wick's
+    theorem, its variance is n_A + n_B + 2 n_A n_B + 2 Re(c^2) + 2 |m|^2
+    + 2 Re(conj(p) q), with c = <a_A^dag a_B>, m = <a_A a_B>, p = <a_A^2>
+    and q = <a_B^2> (docs/wick_covariance.md).  Both forms hold only for
+    that balanced splitter.
     """
     arm, detectors = engine_moments(params)
     n1_arm = number_mean(arm, SIGNAL_A)
@@ -393,7 +403,17 @@ def engine_observables(params: SetupParams) -> Observables:
     gamma = abs(coherence) / denom if denom > 0.0 else math.nan
     total = n1_arm + n2_arm
     vis = 2.0 * abs(coherence) / total if total > 0.0 else 0.0
-    mean, var = difference_statistics(detectors, SIGNAL_A, SIGNAL_B)
+    pair = complex(arm.anomalous[SIGNAL_A, SIGNAL_B])
+    square_a = complex(arm.anomalous[SIGNAL_A, SIGNAL_A])
+    square_b = complex(arm.anomalous[SIGNAL_B, SIGNAL_B])
+    mean = 2.0 * coherence.real
+    var = (
+        total
+        + 2.0 * n1_arm * n2_arm
+        + 2.0 * (coherence * coherence).real
+        + 2.0 * abs(pair) ** 2
+        + 2.0 * (square_a.conjugate() * square_b).real
+    )
     ratio = mean**2 / var if mean != 0.0 else 0.0
     return Observables(
         n1_det=n1_det,

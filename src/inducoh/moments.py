@@ -68,6 +68,12 @@ def moments_from_map(transform: GaussianMap) -> MomentSet:
     Raises ValueError, as `require_valid`, if `transform` is ill-formed.
     """
     require_valid(transform)
+    return _read_moments(transform)
+
+
+def _read_moments(transform: GaussianMap) -> MomentSet:
+    """`moments_from_map` without the check: for a map its caller has
+    vouched for, such as a passive map composed onto a validated one."""
     v = transform.v
     normal = v.conj() @ v.T
     anomalous = transform.u @ v.T

@@ -343,6 +343,20 @@ def test_sector_with_numpy_integers_equals_and_hashes_like_ints():
     assert {plain: "found"}[numpy_built] == "found"
 
 
+def test_sector_takes_a_numpy_array_of_charges():
+    """An array of charges is stored as a tuple of ints, like any sequence."""
+    from_array = fock.Sector(6, np.array([1, -1, 0]), 1)
+    assert from_array.charges == (1, -1, 0)
+    assert from_array == fock.Sector(6, (1, -1, 0), 1)
+    assert hash(from_array) == hash(fock.Sector(6, (1, -1, 0), 1))
+
+
+@pytest.mark.parametrize("charges", [(), np.array([], dtype=int)], ids=["tuple", "array"])
+def test_sector_without_modes_names_its_charges(charges):
+    with pytest.raises(ValueError, match="charges must name at least one mode"):
+        fock.Sector(6, charges)
+
+
 def test_apply_outputs_are_frozen_and_c_contiguous():
     """The `apply_*` functions hand over fresh arrays that `FockState` stores
     uncopied, whatever the mode order."""

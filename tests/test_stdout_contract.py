@@ -85,9 +85,9 @@ FIGURES = {
 
 # extra flags -> sha256 of the stdout of `validate` (its wall times go to stderr)
 VALIDATE = {
-    (): "62544b21901a0ced27657ef19da8154f64ae7e81876aef3e19538e31d0c5a2c7",
+    (): "5a69f7cdbe1cbe03547863a7cad25a1c7ab20da5d1fb097734970c33074ab103",
     ("--cutoff", "20", "--r-max", "0.9"): (
-        "e137913f36446be073a2662ae43704d11497a93c009f7267ef49704a620a04ac"
+        "2dfa3fe287fb1e43717d747c4ff888576d2e9a8b2eee862b3f6d76556578d7b4"
     ),
 }
 
