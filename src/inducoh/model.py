@@ -48,7 +48,6 @@ from .moments import (
     cross_correlation,
     moments_from_map,
     number_mean,
-    require_valid,
 )
 
 SIGNAL_A = 0
@@ -235,7 +234,7 @@ def snr_ratio(params: SetupParams) -> float:
     Always in (0, 1]; equals 1 at t = 0 and approaches 1 at large
     va * t * cos^2(2 phi).
     """
-    cos_sq = math.cos(_finite_2phi(params.fringe_2phi)) ** 2
+    cos_sq = _cos_2phi(params) ** 2
     va, t = params.va, params.t
     return 1.0 - t * va / (2.0 * (1.0 + va) * (1.0 + 2.0 * va * t * cos_sq))
 
@@ -333,7 +332,7 @@ def regime_report(params: SetupParams) -> tuple[RegimeReport, ...]:
     """
     exact = observables(params)
     exact_vis, exact_snr = exact.visibility, exact.snr
-    cos_sq = math.cos(params.fringe_2phi) ** 2
+    cos_sq = _cos_2phi(params) ** 2
     tau = params.t * cos_sq
     va, t = params.va, params.t
 
@@ -367,15 +366,27 @@ def regime_report(params: SetupParams) -> tuple[RegimeReport, ...]:
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _arm(params: SetupParams) -> tuple[GaussianMap, MomentSet]:
+    """The arm-plane map of `params` and its moments, validated once and
+    kept for the last point, so that `engine_moments` and `fringe_scan` at
+    one point share them.  Points equal under == differ at most in the
+    signs of zero fields, which wash out of the composed map, so a kept
+    map is the one the point would build.  A refused map is not kept: it
+    is refused again, with the same message."""
+    arm = build_network(params)
+    return arm, moments_from_map(arm)
+
+
 def engine_moments(params: SetupParams) -> tuple[MomentSet, MomentSet]:
     """Second moments at the arm plane and at the detectors, through the
-    Gaussian engine.  One arm map is built and validated; the detector
-    moments are read from `DETECTION` composed onto it, which is not
-    validated again: the splitter is passive (V = 0, unitary U), so the
-    product keeps the arm map's commutator invariants.  The `DETECTION`
-    map is built once per mode count and shared with `fringe_scan`."""
-    arm = build_network(params)
-    at_arms = moments_from_map(arm)
+    Gaussian engine.  The arm map is built and validated once per point
+    and shared with `fringe_scan` (`_arm`); the detector moments are read
+    from `DETECTION` composed onto it, which is not validated again: the
+    splitter is passive (V = 0, unitary U), so the product keeps the arm
+    map's commutator invariants.  The `DETECTION` map is built once per
+    mode count and shared with `fringe_scan` too."""
+    arm, at_arms = _arm(params)
     return at_arms, _read_moments(compose(_detection(arm.n_modes), arm))
 
 
@@ -476,16 +487,20 @@ def _closed_forms(va, vb, t, t2, theta_a, theta_b, idler_phase, pulses) -> Obser
     Arithmetic and sqrt round alike in Python and numpy; `**` (libm pow
     for a float, x * x in numpy), cos, sin and atan2 do not, so they go
     through `_each`, which applies `math` to every element of an array.
+
+    The fringe term cos 2 phi and the phase are taken at the exact phase
+    sum, the terms of `_phase_sum`, not at its rounding alone.
     """
     vb = t2 * vb  # vb_eff
-    two_phi = _finite_2phi(theta_a - theta_b + idler_phase)
+    two_phi = _phase_sum(theta_a, theta_b, idler_phase)
     n2_arm = (1.0 + t * va) * vb
     total = va + vb + va * vb * t
     # |<a_1'^dag a_2'>| = sqrt((1 + va) va vb_eff t)
     amplitude_sq = (1.0 + va) * va * vb * t
     _no_overflow(va, vb, n2_arm, total, amplitude_sq)
     amplitude = _sqrt(amplitude_sq)
-    mean = 2.0 * amplitude * _each(math.cos, two_phi)
+    # math.cos itself where the sum is one term, as along every CLI grid
+    mean = 2.0 * amplitude * _each(math.cos if len(two_phi) == 1 else _cos_sum, *two_phi)
     mean_sq = _each(_square, mean)
     var = mean_sq + va + vb + va * vb * (2.0 - t)
     _no_overflow(va, vb, var)
@@ -509,11 +524,12 @@ def _sqrt(value):
     return np.sqrt(value) if isinstance(value, np.ndarray) else math.sqrt(value)
 
 
-def _each(function, value):
-    """`function`, a `math` routine, of a float or of each element of an array."""
-    if isinstance(value, np.ndarray):
-        return np.array(list(map(function, value.tolist())))
-    return function(value)
+def _each(function, *values):
+    """`function`, built on `math`, of floats, or of each element of arrays
+    of one shape."""
+    if isinstance(values[0], np.ndarray):
+        return np.array(list(map(function, *(value.tolist() for value in values))))
+    return function(*values)
 
 
 def _square(value: float) -> float:
@@ -530,25 +546,90 @@ def _ratio(num, den, defined):
     return num / den if defined else 0.0
 
 
+def _phase_sum(theta_a, theta_b, idler_phase) -> tuple:
+    """The phase sum 2 phi = theta_a - theta_b + idler_phase, floats or
+    arrays along a grid, as terms whose sum is exact: (hi, lo, tail).
+
+    hi is the sum rounded as written, refused where it overflowed: each
+    phase is finite, their sum need not be.  lo + tail is the sum of the
+    exact errors of its two roundings, itself split exactly (`_sum_error`,
+    an error-free sum as in Ogita, Rump and Oishi, SIAM J. Sci. Comput.
+    26, 1955 (2005)).  The errors matter near a dark fringe, where cos 2 phi
+    is small, and at large phases, where they reach ulp(2 phi); tail
+    matters only where the two errors differ greatly in size, as for
+    theta_a and theta_b near the float range.  The sum is (hi,) alone
+    where it is exact by construction: theta_b and idler_phase are float
+    zeros, as at every point the CLI evaluates.
+    """
+    difference = theta_a - theta_b
+    hi = difference + idler_phase
+    if not np.isfinite(hi).all():
+        raise ValueError("the phase sum theta_a - theta_b + idler_phase overflows")
+    varied = isinstance(theta_b, np.ndarray) or isinstance(idler_phase, np.ndarray)
+    if not varied and theta_b == 0.0 and idler_phase == 0.0:
+        return (hi,)
+    first = _sum_error(theta_a, -theta_b, difference)
+    second = _sum_error(difference, idler_phase, hi)
+    lo = first + second
+    return hi, lo, _sum_error(first, second, lo)
+
+
+def _sum_error(a, b, total):
+    """a + b - total for total = a + b rounded, exactly, of floats or arrays.
+
+    Dekker's Fast2Sum on the operands ordered by magnitude: the larger is
+    taken off total first, so no step overflows where total is finite
+    (Knuth's branch-free TwoSum can, for operands near the float range).
+    """
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        larger = np.abs(a) >= np.abs(b)
+        a, b = np.where(larger, a, b), np.where(larger, b, a)
+    elif abs(a) < abs(b):
+        a, b = b, a
+    return b - (total - a)
+
+
+def _turn(hi: float, *rest: float) -> tuple[float, float]:
+    """cos and sin of the sum of the phases hi, *rest by angle addition, one
+    term at a time; a zero term is skipped, so all-zero terms give cos hi
+    and sin hi exactly.  libm reduces each term exactly, so no term need be
+    small: a first-order cos hi - lo sin hi fails where lo is not."""
+    cos_sum, sin_sum = math.cos(hi), math.sin(hi)
+    for term in rest:
+        if term:
+            c, s = math.cos(term), math.sin(term)
+            cos_sum, sin_sum = cos_sum * c - sin_sum * s, sin_sum * c + cos_sum * s
+    return cos_sum, sin_sum
+
+
+def _cos_sum(*terms: float) -> float:
+    """cos of the exact phase sum, given as its terms."""
+    return _turn(*terms)[0]
+
+
+def _cos_2phi(params: SetupParams) -> float:
+    """cos 2 phi at the exact phase sum of `params`."""
+    return _cos_sum(*_phase_sum(params.theta_a, params.theta_b, params.idler_phase))
+
+
 def _principal(raw: float) -> float:
     return math.atan2(math.sin(raw), math.cos(raw))
 
 
-def _phase(brightness, raw):
-    """Principal value of the fringe phase `raw`, NaN where the product
-    `brightness` = va * vb_eff is 0."""
+def _principal_sum(*terms: float) -> float:
+    """Principal value of the exact phase sum, given as its terms."""
+    cos_sum, sin_sum = _turn(*terms)
+    return math.atan2(sin_sum, cos_sum)
+
+
+def _phase(brightness, two_phi):
+    """Principal value of the fringe phase, the terms `two_phi` of its sum,
+    NaN where the product `brightness` = va * vb_eff is 0."""
+    # `_principal` itself where the sum is one term, as along every CLI grid
+    principal = _principal if len(two_phi) == 1 else _principal_sum
     if isinstance(brightness, np.ndarray):
-        return np.where(brightness == 0.0, math.nan, _each(_principal, raw))
-    return math.nan if brightness == 0.0 else _principal(raw)
-
-
-def _finite_2phi(two_phi):
-    """The phase sum 2 phi = theta_a - theta_b + idler_phase, a float or an
-    array along a grid, refused where it overflowed: each phase is finite,
-    their sum need not be."""
-    if not np.isfinite(two_phi).all():
-        raise ValueError("the phase sum theta_a - theta_b + idler_phase overflows")
-    return two_phi
+        return np.where(brightness == 0.0, math.nan, _each(principal, *two_phi))
+    return math.nan if brightness == 0.0 else principal(*two_phi)
 
 
 def _no_overflow(va, vb, *values) -> None:
@@ -578,8 +659,9 @@ def fringe_scan(params: SetupParams) -> list[tuple[float, float, float]]:
     normal moments as N -> W* N W^T (Weedbrook et al., RMP 84, 621
     (2012)).  The arm map is built and validated once; each count is the
     squared norm of a detector row of W(alpha) V, see
-    docs/wick_covariance.md.  The splitter is the `DETECTION` map that
-    `engine_moments` composes, built once per mode count.
+    docs/wick_covariance.md.  The arm map and the splitter are the ones
+    `engine_moments` uses at the same point: one validated arm map per
+    point (`_arm`), one `DETECTION` map per mode count.
     """
     # the counts vary as cos(2 phi + alpha), so a uniform grid starting at
     # alpha = -2 phi hits the maximum exactly and, as SCAN_POINTS is even,
@@ -589,8 +671,7 @@ def fringe_scan(params: SetupParams) -> list[tuple[float, float, float]]:
     finite = np.isfinite(grid)
     if not finite.all():
         _check_phase(phases[int(np.argmin(finite))])
-    arm = build_network(params)
-    require_valid(arm)
+    arm, _ = _arm(params)
     detectors = [SIGNAL_A, SIGNAL_B]
     # rows[k] = W(grid[k])[detectors]: the splitter's rows with the
     # SIGNAL_A column turned by exp(i alpha)

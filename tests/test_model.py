@@ -9,7 +9,7 @@ import pytest
 
 from inducoh import bogoliubov, model
 from inducoh.moments import moments_from_map, number_mean
-from inducoh.validation import CLOSED_FORM_TOLERANCE
+from inducoh.validation import CLOSED_FORM_TOLERANCE, closed_form_residual
 
 
 def random_params(rng: np.random.Generator) -> model.SetupParams:
@@ -331,6 +331,76 @@ def test_snr_bounds_on_random_grid():
         assert 0.0 <= value <= 1.0
 
 
+# draws of `bench/workloads.py` Duality.inputs(seed) at op index n, near a
+# dark fringe (cos 2 phi ~ 4e-7), with their N1 - N2 means from mpmath at
+# 50 digits; rounding theta_a - theta_b + idler_phase twice put the closed
+# form off by 2.2e-9 and 1.3e-9 of them
+_DARK_FRINGE_DRAWS = {
+    "seed-25-op-91511": (
+        model.SetupParams(
+            va=2.1148775968344524,
+            vb=8.723146226510025,
+            t=0.3068938247828106,
+            t2=0.5223915352841938,
+            theta_a=5.209863287279906,
+            theta_b=1.0361339117587556,
+            idler_phase=3.68025185699716,
+        ),
+        2.4370248810698988e-6,
+    ),
+    "seed-9-op-275366": (
+        model.SetupParams(
+            va=6.66224168132482,
+            vb=9.883856224135672,
+            t=0.1179554855010897,
+            theta_a=4.436540923901634,
+            theta_b=1.3705988877009199,
+            idler_phase=1.6464465984253052,
+        ),
+        -5.3347426128683836e-6,
+    ),
+}
+
+
+@pytest.mark.parametrize("params, exact", _DARK_FRINGE_DRAWS.values(), ids=list(_DARK_FRINGE_DRAWS))
+def test_closed_forms_take_cos_at_the_exact_phase_sum(params, exact):
+    assert abs(model.observables(params).n_minus_mean - exact) <= 1e-14 * abs(exact)
+    assert closed_form_residual(params) <= CLOSED_FORM_TOLERANCE
+
+
+@pytest.mark.parametrize(
+    "phases",
+    [
+        {"theta_a": 1e8 + 0.3},
+        {"theta_a": 1e17},
+        {"theta_a": 1e300},
+        {
+            "theta_a": 5.957644153913411e307,
+            "theta_b": 1.7976931348623157e308,
+            "idler_phase": 0.1462988262088517,
+        },
+    ],
+    ids=["1e8", "1e17", "1e300", "near-float-max"],
+)
+def test_closed_forms_answer_the_engine_at_large_phases(phases):
+    """Each rounding of the phase sum loses up to half an ulp of it: 7.5e-9
+    and 8 radians at theta_a = 1e8 and 1e17; theta_b and idler_phase whole
+    at 1e300.  Near the float range the two rounding errors differ by more
+    than the float precision, so their own sum is inexact too.  The closed
+    forms, `snr_ratio` and `regime_report` take the exact sum, as the
+    engine does by turning each phase on its own."""
+    params, _ = _DARK_FRINGE_DRAWS["seed-25-op-91511"]
+    params = replace(params, **phases)
+    _assert_engine_matches_closed_forms(params)
+    # the same point with its fringe phase read off the engine
+    turned = replace(
+        params, theta_a=model.engine_observables(params).phase_2phi, theta_b=0.0, idler_phase=0.0
+    )
+    assert model.snr_ratio(params) == pytest.approx(model.snr_ratio(turned), rel=1e-12)
+    for report, reference in zip(model.regime_report(params), model.regime_report(turned)):
+        assert report.approx_snr == pytest.approx(reference.approx_snr, rel=1e-12)
+
+
 # ------------------------------------------------------------------ snr ratio
 
 
@@ -590,6 +660,71 @@ def test_engine_refuses_an_overflowing_map_without_numpy_warnings(evaluate, va):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="commutation invariants .*overflow"):
             evaluate(model.SetupParams(va=va, vb=va, t=1))
+
+
+# ------------------------------------------------------ one arm map per point
+
+
+def test_closed_form_residual_builds_one_arm_map(monkeypatch):
+    """`engine_observables` and `fringe_scan` share one validated arm map."""
+    build_network = model.build_network
+    built = []
+
+    def counted(params):
+        built.append(params)
+        return build_network(params)
+
+    monkeypatch.setattr(model, "build_network", counted)
+    params, _ = _DARK_FRINGE_DRAWS["seed-25-op-91511"]
+    for theta_a in (0.1, 0.2):
+        closed_form_residual(replace(params, theta_a=theta_a))
+    assert len(built) == 2
+
+
+def _moment_bytes(params) -> list[bytes]:
+    return [ms.normal.tobytes() + ms.anomalous.tobytes() for ms in model.engine_moments(params)]
+
+
+# what each engine entry point answers, as bytes or a repr
+_ENGINE_ANSWERS = (
+    _moment_bytes,
+    lambda params: repr(model.engine_observables(params)),
+    lambda params: repr(model.fringe_scan(params)),
+)
+
+
+def test_the_shared_arm_map_is_invisible():
+    """Each answer is the same from a cold cache and from one warmed by an
+    equal point, here one whose zero phases have the other sign."""
+    rng = np.random.default_rng(53)
+    phases = ("theta_a", "theta_b", "idler_phase")
+    for _ in range(40):
+        params = replace(random_params(rng), t2=float(rng.uniform(0.05, 1.0)))
+        zeroed = [name for name in phases if rng.uniform() < 0.5] or ["theta_b"]
+        plus = replace(params, **{name: 0.0 for name in zeroed})
+        minus = replace(params, **{name: -0.0 for name in zeroed})
+        assert plus == minus
+        for point, twin in ((plus, minus), (minus, plus)):
+            for answer in _ENGINE_ANSWERS:
+                model._arm.cache_clear()
+                cold = answer(point)
+                model.engine_moments(twin)
+                assert answer(point) == cold
+                assert answer(point) == cold  # warmed by the point itself
+
+
+@pytest.mark.parametrize(
+    "params",
+    [model.SetupParams(va=1e160, vb=1e160, t=1), model.SetupParams(va=1e4, vb=1e4, t=1)],
+    ids=["overflowing", "past-tolerance"],
+)
+def test_a_refused_arm_map_is_refused_on_every_call(params):
+    with pytest.raises(ValueError) as first:
+        moments_from_map(model.build_network(params))
+    for evaluate in (model.engine_moments, model.engine_observables, model.fringe_scan) * 2:
+        with pytest.raises(ValueError) as refusal:
+            evaluate(params)
+        assert str(refusal.value) == str(first.value)
 
 
 # ---------------------------------------------------------------- fringe scan

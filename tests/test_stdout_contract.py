@@ -85,9 +85,9 @@ FIGURES = {
 
 # extra flags -> sha256 of the stdout of `validate` (its wall times go to stderr)
 VALIDATE = {
-    (): "5a69f7cdbe1cbe03547863a7cad25a1c7ab20da5d1fb097734970c33074ab103",
+    (): "1f256e1ef905d78fe863e9b7d444af2a5deef2bf6b8a76ef4f8f598434cdf773",
     ("--cutoff", "20", "--r-max", "0.9"): (
-        "2dfa3fe287fb1e43717d747c4ff888576d2e9a8b2eee862b3f6d76556578d7b4"
+        "0ad5501875234f5cd40092920507dfdec4c2a0e88182eedabf2935d7a2b166b1"
     ),
 }
 
