@@ -492,15 +492,14 @@ def _closed_forms(va, vb, t, t2, theta_a, theta_b, idler_phase, pulses) -> Obser
     sum, the terms of `_phase_sum`, not at its rounding alone.
     """
     vb = t2 * vb  # vb_eff
-    two_phi = _phase_sum(theta_a, theta_b, idler_phase)
+    cos_2phi, sin_2phi = _turn(*_phase_sum(theta_a, theta_b, idler_phase))
     n2_arm = (1.0 + t * va) * vb
     total = va + vb + va * vb * t
     # |<a_1'^dag a_2'>| = sqrt((1 + va) va vb_eff t)
     amplitude_sq = (1.0 + va) * va * vb * t
     _no_overflow(va, vb, n2_arm, total, amplitude_sq)
     amplitude = _sqrt(amplitude_sq)
-    # math.cos itself where the sum is one term, as along every CLI grid
-    mean = 2.0 * amplitude * _each(math.cos if len(two_phi) == 1 else _cos_sum, *two_phi)
+    mean = 2.0 * amplitude * cos_2phi
     mean_sq = _each(_square, mean)
     var = mean_sq + va + vb + va * vb * (2.0 - t)
     _no_overflow(va, vb, var)
@@ -512,7 +511,7 @@ def _closed_forms(va, vb, t, t2, theta_a, theta_b, idler_phase, pulses) -> Obser
         n2_arm=n2_arm,
         visibility=_ratio(2.0 * amplitude, total, total != 0.0),
         gamma12=visibility_optimal(va, t),
-        phase_2phi=_phase(va * vb, two_phi),
+        phase_2phi=_phase(va * vb, cos_2phi, sin_2phi),
         n_minus_mean=mean,
         n_minus_var=var,
         snr=single,
@@ -589,47 +588,35 @@ def _sum_error(a, b, total):
     return b - (total - a)
 
 
-def _turn(hi: float, *rest: float) -> tuple[float, float]:
-    """cos and sin of the sum of the phases hi, *rest by angle addition, one
-    term at a time; a zero term is skipped, so all-zero terms give cos hi
-    and sin hi exactly.  libm reduces each term exactly, so no term need be
-    small: a first-order cos hi - lo sin hi fails where lo is not."""
-    cos_sum, sin_sum = math.cos(hi), math.sin(hi)
+def _turn(hi, *rest):
+    """cos and sin of the sum of the phases hi, *rest, floats or arrays
+    along a grid, by angle addition, one term at a time; a zero term is
+    skipped, so all-zero terms give cos hi and sin hi exactly.  libm
+    reduces each term exactly, so no term need be small: a first-order
+    cos hi - lo sin hi fails where lo is not."""
+    cos_sum, sin_sum = _each(math.cos, hi), _each(math.sin, hi)
     for term in rest:
-        if term:
-            c, s = math.cos(term), math.sin(term)
-            cos_sum, sin_sum = cos_sum * c - sin_sum * s, sin_sum * c + cos_sum * s
+        c, s = _each(math.cos, term), _each(math.sin, term)
+        turned = cos_sum * c - sin_sum * s, sin_sum * c + cos_sum * s
+        if isinstance(term, np.ndarray):
+            cos_sum, sin_sum = np.where(term == 0.0, (cos_sum, sin_sum), turned)
+        elif term:
+            cos_sum, sin_sum = turned
     return cos_sum, sin_sum
-
-
-def _cos_sum(*terms: float) -> float:
-    """cos of the exact phase sum, given as its terms."""
-    return _turn(*terms)[0]
 
 
 def _cos_2phi(params: SetupParams) -> float:
     """cos 2 phi at the exact phase sum of `params`."""
-    return _cos_sum(*_phase_sum(params.theta_a, params.theta_b, params.idler_phase))
+    return _turn(*_phase_sum(params.theta_a, params.theta_b, params.idler_phase))[0]
 
 
-def _principal(raw: float) -> float:
-    return math.atan2(math.sin(raw), math.cos(raw))
-
-
-def _principal_sum(*terms: float) -> float:
-    """Principal value of the exact phase sum, given as its terms."""
-    cos_sum, sin_sum = _turn(*terms)
-    return math.atan2(sin_sum, cos_sum)
-
-
-def _phase(brightness, two_phi):
-    """Principal value of the fringe phase, the terms `two_phi` of its sum,
-    NaN where the product `brightness` = va * vb_eff is 0."""
-    # `_principal` itself where the sum is one term, as along every CLI grid
-    principal = _principal if len(two_phi) == 1 else _principal_sum
+def _phase(brightness, cos_2phi, sin_2phi):
+    """Principal value of the fringe phase, from its cos and sin, NaN where
+    the product `brightness` = va * vb_eff is 0."""
+    principal = _each(math.atan2, sin_2phi, cos_2phi)
     if isinstance(brightness, np.ndarray):
-        return np.where(brightness == 0.0, math.nan, _each(principal, *two_phi))
-    return math.nan if brightness == 0.0 else principal(*two_phi)
+        return np.where(brightness == 0.0, math.nan, principal)
+    return math.nan if brightness == 0.0 else principal
 
 
 def _no_overflow(va, vb, *values) -> None:
