@@ -35,7 +35,6 @@ import numpy as np
 
 from .bogoliubov import (
     GaussianMap,
-    _check_phase,
     beam_splitter,
     chain,
     compose,
@@ -127,11 +126,6 @@ class SetupParams:
     def vb_effective(self) -> float:
         """Brightness of crystal B as seen by the detectors (t2 folded in)."""
         return self.t2 * self.vb
-
-    @property
-    def fringe_2phi(self) -> float:
-        """The phase 2*phi entering the fringe term cos(2*phi)."""
-        return self.theta_a - self.theta_b + self.idler_phase
 
 
 @dataclass(frozen=True)
@@ -649,16 +643,16 @@ def fringe_scan(params: SetupParams) -> list[tuple[float, float, float]]:
     docs/wick_covariance.md.  The arm map and the splitter are the ones
     `engine_moments` uses at the same point: one validated arm map per
     point (`_arm`), one `DETECTION` map per mode count.
+
+    The grid starts at alpha_0 = arg c, c = <a_A^dag a_B> at the arm plane,
+    or at 0 where c = 0 and the counts are flat: behind `DETECTION`,
+    n1(alpha) = (n_A + n_B)/2 + Re(exp(-i alpha) c), so row 0 is the n1
+    maximum and row SCAN_POINTS // 2 the minimum.  No phase sum enters.
     """
-    # the counts vary as cos(2 phi + alpha), so a uniform grid starting at
-    # alpha = -2 phi hits the maximum exactly and, as SCAN_POINTS is even,
-    # the minimum as well
-    grid = -params.fringe_2phi + np.arange(SCAN_POINTS) * (2.0 * math.pi / SCAN_POINTS)
-    phases = grid.tolist()
-    finite = np.isfinite(grid)
-    if not finite.all():
-        _check_phase(phases[int(np.argmin(finite))])
-    arm, _ = _arm(params)
+    arm, at_arms = _arm(params)
+    coherence = cross_correlation(at_arms, SIGNAL_A, SIGNAL_B)
+    start = np.angle(coherence) if coherence else 0.0
+    grid = start + np.arange(SCAN_POINTS) * (2.0 * math.pi / SCAN_POINTS)
     detectors = [SIGNAL_A, SIGNAL_B]
     # rows[k] = W(grid[k])[detectors]: the splitter's rows with the
     # SIGNAL_A column turned by exp(i alpha)
@@ -666,14 +660,15 @@ def fringe_scan(params: SetupParams) -> list[tuple[float, float, float]]:
     rows[:, :, SIGNAL_A] *= np.exp(1j * grid)[:, None]
     out = rows @ arm.v
     counts = (out.real**2 + out.imag**2).sum(axis=2)
-    return list(zip(phases, counts[:, 0].tolist(), counts[:, 1].tolist()))
+    return list(zip(grid.tolist(), counts[:, 0].tolist(), counts[:, 1].tolist()))
 
 
 def fringe_visibility(rows) -> float:
     """(max - min)/(max + min) of the n1 column of a fringe scan.
 
     Exact only when the scanned grid contains the fringe extrema, as the
-    grid of `fringe_scan` does.
+    grid of `fringe_scan`, aligned on the engine's arm coherence, does at
+    every point the engine answers.
     """
     n1 = [row[1] for row in rows]
     top, bottom = max(n1), min(n1)

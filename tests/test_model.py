@@ -173,7 +173,7 @@ def test_engine_phase_agrees_with_closed_form():
     for _ in range(10):
         params = random_params(rng)
         engine = model.engine_observables(params).phase_2phi
-        gap = (engine - params.fringe_2phi) % (2 * math.pi)
+        gap = (engine - model.observables(params).phase_2phi) % (2 * math.pi)
         assert min(gap, 2 * math.pi - gap) < 1e-9
 
 
@@ -197,11 +197,14 @@ def test_closed_forms_refuse_an_overflowing_phase_sum(evaluate):
 
 def test_engine_answers_where_the_phase_sum_overflows():
     """The engine turns each phase on its own, and the visibility does not
-    depend on the phases."""
+    depend on the phases.  The fringe scan aligns on the engine's arm
+    coherence, not on the phase sum, so it answers too."""
     engine = model.engine_observables(_OVERFLOWING_2PHI)
     closed = model.observables(replace(_OVERFLOWING_2PHI, theta_a=0.0, theta_b=0.0))
     assert engine.visibility == pytest.approx(closed.visibility, rel=1e-9)
     assert engine.n1_det + engine.n2_det == pytest.approx(closed.n1_det + closed.n2_det, rel=1e-9)
+    scan = model.fringe_scan(_OVERFLOWING_2PHI)
+    assert abs(model.fringe_visibility(scan) - engine.visibility) <= 1e-9
 
 
 # ------------------------------------------------------------------ coherence
@@ -372,7 +375,9 @@ def test_closed_forms_take_cos_at_the_exact_phase_sum(params, exact):
     "phases",
     [
         {"theta_a": 1e8 + 0.3},
+        {"theta_a": 1e13 + 0.3},
         {"theta_a": 1e17},
+        {"theta_a": 1e17 + 0.3},
         {"theta_a": 1e300},
         {
             "theta_a": 5.957644153913411e307,
@@ -380,7 +385,7 @@ def test_closed_forms_take_cos_at_the_exact_phase_sum(params, exact):
             "idler_phase": 0.1462988262088517,
         },
     ],
-    ids=["1e8", "1e17", "1e300", "near-float-max"],
+    ids=["1e8", "1e13", "1e17", "1e17+0.3", "1e300", "near-float-max"],
 )
 def test_closed_forms_answer_the_engine_at_large_phases(phases):
     """Each rounding of the phase sum loses up to half an ulp of it: 7.5e-9
@@ -388,10 +393,12 @@ def test_closed_forms_answer_the_engine_at_large_phases(phases):
     at 1e300.  Near the float range the two rounding errors differ by more
     than the float precision, so their own sum is inexact too.  The closed
     forms, `snr_ratio` and `regime_report` take the exact sum, as the
-    engine does by turning each phase on its own."""
+    engine does by turning each phase on its own; the fringe scan, which
+    aligns on the engine's arm coherence, gives the closed-form visibility."""
     params, _ = _DARK_FRINGE_DRAWS["seed-25-op-91511"]
     params = replace(params, **phases)
     _assert_engine_matches_closed_forms(params)
+    assert closed_form_residual(params) <= CLOSED_FORM_TOLERANCE
     # the same point with its fringe phase read off the engine
     turned = replace(
         params, theta_a=model.engine_observables(params).phase_2phi, theta_b=0.0, idler_phase=0.0
@@ -748,14 +755,13 @@ def test_fringe_scan_conserves_energy():
     assert max(totals) - min(totals) < 1e-12
 
 
-def _composed_scan(params):
+def _composed_scan(params, phases):
     """The scan as one composed map per phase: splitter . phase(alpha) . arm."""
     arm = model.build_network(params)
     n = arm.n_modes
     splitter = bogoliubov.beam_splitter(n, model.SIGNAL_A, model.SIGNAL_B, 0.5)
-    grid = -params.fringe_2phi + np.arange(model.SCAN_POINTS) * (2 * math.pi / model.SCAN_POINTS)
     rows = []
-    for alpha in grid.tolist():
+    for alpha in phases:
         net = bogoliubov.compose(
             splitter, bogoliubov.compose(bogoliubov.phase_shifter(n, model.SIGNAL_A, alpha), arm)
         )
@@ -765,6 +771,9 @@ def _composed_scan(params):
 
 
 def test_fringe_scan_matches_composed_maps():
+    """The scan equals one composed map per phase at its own phases, and its
+    grid, aligned on the arm coherence, starts at the n1 maximum and holds
+    the minimum half a period on, also where theta_a is near 1e17."""
     rng = np.random.default_rng(15)
     for draw in range(200):
         params = model.SetupParams(
@@ -772,13 +781,24 @@ def test_fringe_scan_matches_composed_maps():
             vb=float(rng.uniform(0, 1e3)),
             t=float(rng.uniform(0, 1)),
             t2=float(rng.uniform(0.05, 1)) if draw % 4 == 3 else 1.0,
-            theta_a=float(rng.uniform(0, 2 * math.pi)),
+            theta_a=float(rng.uniform(0, 2 * math.pi)) + (1e17 if draw % 5 == 4 else 0.0),
             theta_b=float(rng.uniform(0, 2 * math.pi)),
             idler_phase=float(rng.uniform(0, 2 * math.pi)),
         )
-        for row, reference in zip(model.fringe_scan(params), _composed_scan(params)):
+        rows = model.fringe_scan(params)
+        phases = [phase for phase, _, _ in rows]
+        for row, reference in zip(rows, _composed_scan(params, phases), strict=True):
             assert row[0] == reference[0]
             assert row[1:] == pytest.approx(reference[1:], rel=1e-13, abs=0)
+        n1 = [row[1] for row in rows]
+        top, bottom = n1[0], n1[model.SCAN_POINTS // 2]
+        assert top == pytest.approx(max(n1), rel=1e-12, abs=0)
+        assert bottom == pytest.approx(min(n1), rel=1e-12, abs=0)
+        # the fringe swings by 2 |c| = visibility * (n_A + n_B): a grid
+        # collapsed onto one phase would be flat
+        engine = model.engine_observables(params)
+        swing = engine.visibility * (engine.n1_arm + engine.n2_arm)
+        assert top - bottom == pytest.approx(swing, rel=1e-12, abs=1e-12 * top)
 
 
 def test_detection_map_is_built_once_per_mode_count():
@@ -795,13 +815,6 @@ def test_detection_map_is_built_once_per_mode_count():
                 matrix[0, 0] = 2.0
 
 
-def test_fringe_scan_refuses_non_finite_phase():
-    # theta_a + idler_phase overflows to inf, so every scan phase is -inf
-    params = model.SetupParams(va=1, vb=1, t=0.5, theta_a=1e308, idler_phase=1e308)
-    with pytest.raises(ValueError, match="phase must be finite, got -inf"):
-        model.fringe_scan(params)
-
-
 def test_fringe_scan_refuses_exactly_the_invalid_arm_maps():
     refused = 0
     for params in _high_gain_grid():
@@ -811,11 +824,11 @@ def test_fringe_scan_refuses_exactly_the_invalid_arm_maps():
             with pytest.raises(ValueError, match="commutation invariants"):
                 model.fringe_scan(params)
             with pytest.raises(ValueError, match="commutation invariants"):
-                _composed_scan(params)
+                _composed_scan(params, [0.0])
             continue
         # a valid arm map gives the closed-form counts, even where
-        # rounding in a composed map pushes it past the tolerance;
-        # all phases are zero, so the first row is the fringe top
+        # rounding in a composed map pushes it past the tolerance; the
+        # first row is the fringe top, which all phases zero put at n1_det
         closed = model.observables(params)
         _, n1, n2 = model.fringe_scan(params)[0]
         assert (n1, n2) == pytest.approx((closed.n1_det, closed.n2_det), rel=1e-9)
