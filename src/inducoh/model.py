@@ -427,7 +427,7 @@ def engine_observables(params: SetupParams) -> Observables:
         n2_arm=n2_arm,
         visibility=vis,
         gamma12=gamma,
-        phase_2phi=-np.angle(coherence) if abs(coherence) > 0.0 else math.nan,
+        phase_2phi=float(-np.angle(coherence)) if abs(coherence) > 0.0 else math.nan,
         n_minus_mean=mean,
         n_minus_var=var,
         snr=ratio,
@@ -478,9 +478,9 @@ def _closed_forms(va, vb, t, t2, theta_a, theta_b, idler_phase, pulses) -> Obser
     """The body of `observables`, on floats at a point and on float arrays
     along a grid.
 
-    Arithmetic and sqrt round alike in Python and numpy; `**` (libm pow
-    for a float, x * x in numpy), cos, sin and atan2 do not, so they go
-    through `_each`, which applies `math` to every element of an array.
+    Arithmetic and sqrt round alike in Python and numpy; cos, sin and
+    atan2 do not, so they go through `_each`, which applies `math` to
+    every element of an array.
 
     The fringe term cos 2 phi and the phase are taken at the exact phase
     sum, the terms of `_phase_sum`, not at its rounding alone.
@@ -491,19 +491,18 @@ def _closed_forms(va, vb, t, t2, theta_a, theta_b, idler_phase, pulses) -> Obser
     total = va + vb + va * vb * t
     # |<a_1'^dag a_2'>| = sqrt((1 + va) va vb_eff t)
     amplitude_sq = (1.0 + va) * va * vb * t
-    _no_overflow(va, vb, n2_arm, total, amplitude_sq)
     amplitude = _sqrt(amplitude_sq)
     mean = 2.0 * amplitude * cos_2phi
-    mean_sq = _each(_square, mean)
+    mean_sq = mean * mean
     var = mean_sq + va + vb + va * vb * (2.0 - t)
-    _no_overflow(va, vb, var)
-    single = _ratio(mean_sq, var, mean != 0.0)
+    _no_overflow(va, vb, n2_arm, total, amplitude_sq, var)
+    single = _ratio(mean_sq, var)  # var >= mean^2 > 0 where mean != 0
     return Observables(
         n1_det=0.5 * (total + mean),
         n2_det=0.5 * (total - mean),
         n1_arm=1.0 * va,  # a float also where SetupParams holds an int
         n2_arm=n2_arm,
-        visibility=_ratio(2.0 * amplitude, total, total != 0.0),
+        visibility=_ratio(2.0 * amplitude, total),
         gamma12=visibility_optimal(va, t),
         phase_2phi=_phase(va * vb, cos_2phi, sin_2phi),
         n_minus_mean=mean,
@@ -525,18 +524,11 @@ def _each(function, *values):
     return function(*values)
 
 
-def _square(value: float) -> float:
-    try:
-        return value**2
-    except OverflowError:  # where float * gives inf, float ** raises
-        return math.inf
-
-
-def _ratio(num, den, defined):
-    """num / den where `defined`, else 0."""
-    if isinstance(defined, np.ndarray):
-        return np.where(defined, num / den, 0.0)
-    return num / den if defined else 0.0
+def _ratio(num, den):
+    """num / den, or 0 where den is 0."""
+    if isinstance(den, np.ndarray):
+        return np.where(den != 0.0, num / den, 0.0)
+    return num / den if den != 0.0 else 0.0
 
 
 def _phase_sum(theta_a, theta_b, idler_phase) -> tuple:

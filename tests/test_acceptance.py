@@ -1,4 +1,6 @@
-"""End-to-end acceptance checks, one test per release criterion.
+"""End-to-end acceptance checks, one test per release criterion, and for
+criteria 3, 4, 5 and 9 a second that reads the claim from the Gaussian
+engine alone (`engine_observables`).
 
 Each test prints a single [ACCEPTANCE] line on success; a failed
 criterion shows up as the usual pytest failure for that test.
@@ -60,6 +62,15 @@ def test_criterion_3_low_gain_visibility_is_sqrt_t():
     announce(3, f"max |V - sqrt(T)| = {worst:.3e}")
 
 
+def test_criterion_3_through_the_engine():
+    worst = 0.0
+    for t in np.linspace(0.0, 1.0, 201):
+        params = model.SetupParams(va=1e-6, vb=1e-6, t=float(t))
+        worst = max(worst, abs(model.engine_observables(params).visibility - math.sqrt(t)))
+    assert worst < 1e-5
+    announce(3, f"engine: max |V - sqrt(T)| = {worst:.3e}")
+
+
 def test_criterion_4_optimal_brightness_reaches_coherence():
     rng = np.random.default_rng(GRID_SEED + 1)
     worst_gap = 0.0
@@ -74,6 +85,24 @@ def test_criterion_4_optimal_brightness_reaches_coherence():
     announce(4, f"max |V(vb*) - gamma12| = {worst_gap:.3e}, maximal over 4000 probes")
 
 
+def test_criterion_4_through_the_engine():
+    """V = gamma12 at vb = vb*, and on the 5-mode network where the
+    attenuator t2* < 1 balances the arms, both read from the engine."""
+    worst_gap, attenuated = 0.0, 0
+    for params in criterion_grid():
+        points = [replace(params, vb=model.optimize_vb(params.va, params.t), t2=1.0)]
+        t2 = model.optimize_t2(params.va, params.vb, params.t)
+        if t2 is not None and t2 < 1.0:
+            points.append(replace(params, t2=t2))
+            attenuated += 1
+        for point in points:
+            engine = model.engine_observables(point)
+            worst_gap = max(worst_gap, abs(engine.visibility - engine.gamma12))
+    assert attenuated > 100
+    assert worst_gap < 1e-12
+    announce(4, f"engine: max |V - gamma12| = {worst_gap:.3e}, {attenuated} points at t2* < 1")
+
+
 def test_criterion_5_high_gain_expansion_error_bound():
     """The 1/(T va) expansion of the optimal visibility has quadratically
     small error: |exact - approx| <= 10/(T va)^2 for T va >= 100."""
@@ -86,6 +115,27 @@ def test_criterion_5_high_gain_expansion_error_bound():
             worst_factor = max(worst_factor, factor)
     assert worst_factor <= 10.0
     announce(5, f"worst |error| * (T va)^2 = {worst_factor:.3f} <= 10")
+
+
+def test_criterion_5_through_the_engine():
+    """At vb = vb* the engine's visibility keeps the expansion bound and
+    matches the closed form up to va = 1e6; from va = 1e7 the engine
+    refuses its arm map (its commutator check is absolute)."""
+    worst_factor = worst_relative = 0.0
+    for t in (0.2, 0.5, 1.0):
+        for va in (1e3, 1e4, 1e6):
+            params = model.SetupParams(va=va, vb=model.optimize_vb(va, t), t=t)
+            engine = model.engine_observables(params).visibility
+            exact = model.observables(params).visibility
+            approx = model.visibility_high_gain_expansion(va, t)
+            worst_factor = max(worst_factor, abs(engine - approx) * (t * va) ** 2)
+            worst_relative = max(worst_relative, abs(engine - exact) / exact)
+        refused = model.SetupParams(va=1e7, vb=model.optimize_vb(1e7, t), t=t)
+        with pytest.raises(ValueError, match="commutation invariants"):
+            model.engine_observables(refused)
+    assert worst_factor <= 10.0
+    assert worst_relative <= validation.CLOSED_FORM_TOLERANCE
+    announce(5, f"engine: worst |error| * (T va)^2 = {worst_factor:.3f}, V within {worst_relative:.1e}")
 
 
 def load_curve(path) -> list[tuple[float, float]]:
@@ -152,3 +202,15 @@ def test_criterion_9_published_curve_anchors():
         params = model.SetupParams(va=10.0, vb=10.0, t=t)
         assert model.observables(params).visibility < math.sqrt(t)
     announce(9, "gamma12 anchors and equal-gain high-gain behavior hold strictly")
+
+
+def test_criterion_9_through_the_engine():
+    for va in (0.1, 1.0, 10.0, 100.0):
+        assert model.engine_observables(model.SetupParams(va=va, vb=1.0, t=0.0)).gamma12 == 0.0
+        for t in np.linspace(0.05, 0.95, 19):
+            gamma = model.engine_observables(model.SetupParams(va=va, vb=1.0, t=float(t))).gamma12
+            assert gamma > math.sqrt(t)
+    for t in (0.7, 0.85, 1.0):
+        params = model.SetupParams(va=10.0, vb=10.0, t=t)
+        assert model.engine_observables(params).visibility < math.sqrt(t)
+    announce(9, "engine: gamma12 anchors and equal-gain high-gain behavior hold strictly")

@@ -304,13 +304,13 @@ def test_snr_low_gain_matches_linear_law():
 
 
 def test_snr_equals_moment_ratio():
+    # exactly, with the square taken as a product: libm pow(x, 2) is not
+    # always the correctly rounded x * x
     rng = np.random.default_rng(34)
-    for _ in range(20):
-        params = random_params(rng)
-        obs = model.observables(params)
+    for _ in range(20_000):
+        obs = model.observables(random_params(rng))
         mean, var = obs.n_minus_mean, obs.n_minus_var
-        expected = mean**2 / var if mean != 0.0 else 0.0
-        assert obs.snr == pytest.approx(expected, rel=1e-10)
+        assert obs.snr == (mean * mean / var if mean != 0.0 else 0.0), obs
 
 
 def test_snr_approaches_one_when_optimized_and_bright():
@@ -527,6 +527,7 @@ def test_engine_matches_closed_forms_on_random_grid():
         params = random_params(rng)
         engine = model.engine_observables(params)
         closed = model.observables(params)
+        assert all(type(v) is float for v in vars(engine).values())
         assert engine.n1_det == pytest.approx(closed.n1_det, rel=1e-9, abs=1e-12)
         assert engine.n2_det == pytest.approx(closed.n2_det, rel=1e-9, abs=1e-12)
         assert engine.gamma12 == pytest.approx(closed.gamma12, rel=1e-9)
@@ -897,3 +898,7 @@ def test_a_grid_is_refused_where_a_point_would_be():
     # only the middle point overflows, and the refusal names it
     with pytest.raises(ValueError, match=r"overflow at va=1e\+200"):
         model.observables(replace(base, vb=1e200), "va", [1.0, 1e200, 2.0])
+    # the first refused point, whichever product overflows there: at
+    # va = 1e154 only Var(N-) does, at 1e200 |c|^2 too
+    with pytest.raises(ValueError, match=r"overflow at va=1e\+154"):
+        model.observables(base, "va", [1.0, 1e154, 1e200])
